@@ -34,9 +34,11 @@ def within(value: float, target: float, se: float, z: float = Z_MEAN) -> bool:
 # marginal laws
 
 
-def uniform_moments() -> tuple[float, float]:
-    """(m3, m4) of the uniform law on [-sqrt3, sqrt3]: 0 and a^4/5 = 9/5."""
-    return 0.0, SQRT3**4 / 5.0
+# (m3, m4) of each law's standardized marginal, by its prop5 label:
+# N(0, 1); uniform on [-sqrt3, sqrt3], m4 = 3^2/5; exponential(1) - 1, whose
+# central moments are 2 and 9
+MARGINAL_MOMENTS = {"gaussian": (0.0, 3.0), "iid-uniform": (0.0, SQRT3**4 / 5.0),
+                    "iid-exponential": (2.0, 9.0)}
 
 
 def prop5_targets(m3: float, m4: float, d: int) -> tuple[float, float, float]:
@@ -45,14 +47,22 @@ def prop5_targets(m3: float, m4: float, d: int) -> tuple[float, float, float]:
     return m4 - 3.0, m3 * m3, (m4 * m4 - 9.0) / d
 
 
-def uniform_diagonal_second_moment(v: np.ndarray) -> np.ndarray:
-    """E[u^2 | v] for u = (Z1 - Z2)/sqrt2, v = (Z1 + Z2)/sqrt2, Z1, Z2 iid
-    uniform on [-sqrt3, sqrt3].
+def uniform_plane_fiber(a: np.ndarray, v):
+    """Mean, variance and length of t on the fiber {a v + t a_perp} of Z1, Z2
+    iid uniform on [-sqrt3, sqrt3], for a unit a in the (e1, e2) plane.
 
-    (u, v) is uniform on the diamond |u| + |v| <= sqrt6, so given v, u is
-    uniform on [-(sqrt6 - |v|), sqrt6 - |v|].
+    Given a'(Z1, Z2) = v, t is uniform on the segment [lo, hi] that the
+    square cuts out of the fiber.  Vectorized over v.
     """
-    return (SQRT6 - np.abs(v)) ** 2 / 3.0
+    v = np.asarray(v, dtype=float)
+    a_perp = np.array([-a[1], a[0]])
+    lo, hi = np.full(v.shape, -np.inf), np.full(v.shape, np.inf)
+    for i in range(2):
+        if a_perp[i] == 0.0:
+            continue
+        ends = ((-SQRT3 - a[i] * v) / a_perp[i], (SQRT3 - a[i] * v) / a_perp[i])
+        lo, hi = np.maximum(lo, np.minimum(*ends)), np.minimum(hi, np.maximum(*ends))
+    return 0.5 * (lo + hi), (hi - lo) ** 2 / 12.0, hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +90,30 @@ def effective_size(w: np.ndarray) -> float:
     return float(np.sum(w)) ** 2 / float(np.sum(w * w))
 
 
-def mean_deviation_tolerance(n_eff: float, d: int, p: int) -> float:
-    """Bound on ||mu_hat - B Ehat_w[B'Z]|| when E[Z | B'Z] = B B'Z exactly.
+def uniform_frame_signals(a: np.ndarray, proj: np.ndarray, w: np.ndarray):
+    """The smoothed deviations the kernel engine should find, up to noise, on
+    the frame B = [a1 e1 + a2 e2, e3, .., e(p+1)] under the iid uniform law,
+    from the projections and kernel weights of the points it averages.
 
-    The deviation is then the weighted mean of the residuals Z - E[Z|B'Z],
+    With e = a_perp and E[t | v] = m, Var[t | v] = s2 on the fiber:
+    E[Z | B'Z = v] - B v = m e, so the mean deviation is |Ehat_w[m]|; and
+    E[ZZ' | v] - I - B(v v' - I)B' = (m^2 + s2 - 1) e e' + e (v m)' B' +
+    B (v m) e', whose smoothed operator norm is |c|/2 + sqrt(c^2/4 + |r|^2)
+    with c = Ehat_w[m^2 + s2 - 1] and r = Ehat_w[v m].  Both vanish on a
+    coordinate frame (m = 0, s2 = 1).
+    """
+    m, s2, _ = uniform_plane_fiber(a, proj[:, 0])
+    sw = float(np.sum(w))
+    mean = abs(float(w @ m)) / sw
+    c = float(w @ (m * m + s2 - 1.0)) / sw
+    r = float(np.linalg.norm((w * m) @ proj)) / sw
+    return mean, abs(c) / 2.0 + math.sqrt(c * c / 4.0 + r * r)
+
+
+def mean_deviation_tolerance(n_eff: float, d: int, p: int) -> float:
+    """Bound on the noise in ||mu_hat - B Ehat_w[B'Z]||.
+
+    The noise is the weighted mean of the residuals Z - E[Z|B'Z],
     which are independent given the projections, have conditional variance
     at most 1 in d - p - 1 directions and at most 2 in one more, so that
     n_eff ||dev||^2 is close to chi2 with about d - p + 2 degrees of freedom.
@@ -113,22 +143,16 @@ def uniform_fiber_moments(b: np.ndarray, x: float):
     """Exact h(x|b), E[Z | b'Z = x] and ||Delta(x|b)|| for Z uniform on the
     square [-sqrt3, sqrt3]^2.
 
-    Given b'Z = x, Z = b x + t b_perp with t uniform on the segment [lo, hi]
-    cut out by the square; the density of b'Z at x is (hi - lo)/12.
+    Given b'Z = x, Z = b x + t b_perp with t uniform on a segment (see
+    uniform_plane_fiber); the density of b'Z at x is its length over 12.
     """
     b = np.asarray(b, dtype=float)
     b_perp = np.array([-b[1], b[0]])
-    lo, hi = -math.inf, math.inf
-    for i in range(2):
-        if b_perp[i] == 0.0:
-            continue
-        ends = sorted(((-SQRT3 - b[i] * x) / b_perp[i], (SQRT3 - b[i] * x) / b_perp[i]))
-        lo, hi = max(lo, ends[0]), min(hi, ends[1])
-    length = hi - lo
+    mid, var, length = (float(u) for u in uniform_plane_fiber(b, x))
     phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     h = (length / 12.0) / phi
-    mu = b * x + 0.5 * (lo + hi) * b_perp
-    second = np.outer(mu, mu) + (length**2 / 12.0) * np.outer(b_perp, b_perp)
+    mu = b * x + mid * b_perp
+    second = np.outer(mu, mu) + var * np.outer(b_perp, b_perp)
     delta = second - (np.eye(2) + (x * x - 1.0) * np.outer(b, b))
     return h, mu, float(np.max(np.abs(np.linalg.eigvalsh(delta))))
 

@@ -106,9 +106,6 @@ class Tracer:
             out[key] += (end - start) - child[i]
         return out
 
-    def top_level_seconds(self) -> float:
-        return sum(end - start for _, start, end, parent in self.spans if parent < 0)
-
 
 def _wrapper(tracer: Tracer, name: str, fn):
     counter = COUNTERS.get(name)
