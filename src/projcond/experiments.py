@@ -184,9 +184,10 @@ def run_expansion_order(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
         rem0, _ = remainder_diagnostic(x, np.eye(k), d, p)
         rows.append(exact_row("expansion-order", f"d={d};p={p};k={k};at-identity",
                               abs(rem0), 0.0, 1e-10))
-        a = rng.standard_normal((k, k))
-        a = 0.5 * (a + a.T)
-        a /= linalg.spectral_norm(a)
+        # fixed direction A = J/k (all-ones, unit spectral norm): a random
+        # direction can be nearly orthogonal to the leading remainder term,
+        # and the fitted slope then misses k + 1 on correct code
+        a = np.ones((k, k)) / k
         rems = []
         for eps in eps_grid:
             rem, _ = remainder_diagnostic(x, np.eye(k) + eps * a, d, p)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -44,16 +45,53 @@ def test_ratio_estimates_match_quadrature(rng_factory):
 
 
 def test_gaussian_exactness(rng_factory):
+    # the last two cases have an n that is not a multiple of the 20 jackknife
+    # blocks and a batch smaller than one block, so each block accumulates
+    # chunks of unequal size
     rng = rng_factory("gauss-exact")
-    spec = dist.gaussian(15)
-    B = linalg.haar_stiefel(15, 3, rng)
-    x = np.array([0.2, -0.5, 1.0])
-    est = cond.conditional_estimates(spec, B, x, 3000, rng)
-    assert est.h_hat == 1.0 and est.h_se == 0.0
-    assert np.max(np.abs(est.mu_hat - B.entries @ x)) == 0.0
-    assert est.delta_op_norm_hat == 0.0
-    # jackknife replicates are identical; their mean can differ by one ulp
-    assert np.max(est.mu_se) < 1e-14
+    for d, x, n, batch in ((15, [0.2, -0.5, 1.0], 3000, 20000),
+                           (5, [0.7, -0.3], 2347, 50),
+                           (33, [0.7, -0.3], 2347, 50)):
+        B = linalg.haar_stiefel(d, len(x), rng)
+        x = np.array(x)
+        est = cond._ratio_conditional(dist.gaussian(d), B, x, n, rng, batch=batch)
+        assert est.h_hat == 1.0 and est.h_se == 0.0
+        assert np.max(np.abs(est.mu_hat - B.entries @ x)) == 0.0
+        assert est.delta_op_norm_hat == 0.0
+        # jackknife replicates are identical; their mean can differ by one ulp
+        assert np.max(est.mu_se) < 1e-14
+
+
+def test_ratio_engine_matches_plain_reference(rng_factory):
+    # the same draws, replayed from a copy of the generator, through a direct
+    # float64 evaluation of the control-variate estimator
+    d, n = 3, 5003
+    x = np.array([0.4])
+    rng = rng_factory("ratio-ref")
+    B = linalg.haar_stiefel(d, 1, rng)
+    replay = copy.deepcopy(rng)
+    est = cond.conditional_estimates(dist.iid_marginal("uniform", d), B, x, n, rng)
+
+    b = B.entries
+    bx = b @ x
+    v = replay.standard_normal((n, d))
+    w = bx + v - (v @ b) @ b.T
+    inside = np.all(np.abs(w) <= math.sqrt(3.0), axis=1)
+    phi = np.exp(-0.5 * np.sum(w * w, axis=1)) / (2.0 * math.pi) ** (d / 2)
+    r = np.where(inside, (2.0 * math.sqrt(3.0)) ** -d, 0.0) / phi
+    h = r.mean()
+    c = (r - h) / (n * h)
+    m = (c[:, None] * v).sum(axis=0)
+    proj = np.eye(d) - b @ b.T
+    m_perp = proj @ m
+    second = (c[:, None, None] * v[:, :, None] * v[:, None, :]).sum(axis=0)
+    delta = np.outer(bx, m_perp) + np.outer(m_perp, bx) + proj @ second @ proj
+    dnorm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (delta + delta.T)))))
+
+    assert 0.0 < h and dnorm > 0.0
+    assert abs(est.h_hat - h) <= 1e-12 * h
+    assert np.linalg.norm(est.mu_hat - (bx + m_perp)) <= 1e-12 * np.linalg.norm(bx + m_perp)
+    assert abs(est.delta_op_norm_hat - dnorm) <= 1e-12 * dnorm
 
 
 def test_h_normalization_over_projections(rng_factory):
@@ -152,6 +190,25 @@ def test_deviation_probability_kernel_small_threshold(rng_factory):
     res = cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=50_000, rng=rng)
     assert 0.0 <= res.mean_prob <= 0.1
     assert res.noise_floor_mu < 0.25
+
+
+def test_kernel_delta_norm_reproducible_on_eigsh_path(rng_factory):
+    # d > 256 takes the iterative eigen-solve, whose start vector is fixed
+    rng = rng_factory("eigsh-repro")
+    d = 300
+    spec = dist.iid_marginal("uniform", d)
+    pool = cond.build_pool(spec, linalg.haar_stiefel(d, 1, rng), 4000, rng)
+    x = np.array([0.3])
+    first = cond.kernel_delta_norm(pool, x)
+    assert all(cond.kernel_delta_norm(pool, x) == first for _ in range(3))
+
+
+def test_build_pool_rejects_empty_pool(rng_factory):
+    from projcond.errors import InvalidDimensionError
+
+    rng = rng_factory("empty-pool")
+    with pytest.raises(InvalidDimensionError):
+        cond.build_pool(dist.gaussian(4), linalg.haar_stiefel(4, 1, rng), 0, rng)
 
 
 def test_deviation_probability_preconditions(rng_factory):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projcond import clones, expansion, linalg
+from projcond import clones, expansion, experiments, linalg
 from projcond.errors import OutsideExpansionRegionError, ThresholdViolatedError
 
 # calibrated once against dense determinant evaluation; never re-tuned
@@ -170,3 +170,20 @@ def test_coefficient_bound_shape_reported():
     # reported only: actual coefficients stay within a small multiple here
     worst = max(abs(v) for v in psi.coeffs.values())
     assert worst < 100 * shape
+
+
+def test_expansion_order_gate_catches_truncated_expansion(monkeypatch):
+    # criterion 4's slope rows, on correct code and with the approximant cut
+    # one degree short (the remainder is then of order k, not k + 1)
+    cfg = {"experiment": "expansion-order", "d": 10_000, "p": 1, "ks": [1, 2, 4],
+           "x_norm": 0.5, "eps_grid": [0.02, 0.01, 0.005, 0.0025], "slope_tol": 0.3}
+
+    def slope_rows():
+        rows = experiments.run_expansion_order(cfg, np.random.default_rng(0))
+        return [r for r in rows if r.params.endswith(";slope")]
+
+    assert [r.passed for r in slope_rows()] == [True, True, True]
+    full = expansion._psi_unsymmetrized
+    monkeypatch.setattr(expansion, "_psi_unsymmetrized", lambda xsq, k, p, d: {
+        mono: c for mono, c in full(xsq, k, p, d).items() if len(mono) < k})
+    assert [r.passed for r in slope_rows()] == [False, False, False]
