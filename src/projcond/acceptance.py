@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import bounds, clones, conditional, distributions, expansion, linalg, moments
+from .errors import InvalidDimensionError
 from .experiments import (
     ReportRow,
     bool_row,
@@ -289,7 +290,7 @@ def run_smoke(seed: int = DEFAULT_SEED) -> list[ReportRow]:
     try:
         linalg.haar_stiefel(3, 3, rng)
         ok = False
-    except Exception:
+    except InvalidDimensionError:
         ok = True
     rows.append(bool_row("smoke", "haar;p>=d rejected", ok))
 

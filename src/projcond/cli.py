@@ -7,33 +7,18 @@ Subcommands:
   scan <config.json>       formula-level asymptotic scan
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
-PROJCOND_THREADS caps the number of concurrently dispatched experiments;
-results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import acceptance, bounds, moments
 from .errors import ConfigError, ProjcondError
 from .experiments import ReportRow, run_experiment, write_csv, write_summary
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("PROJCOND_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError("PROJCOND_THREADS", f"not a positive integer: {raw!r}")
-    if val < 1:
-        raise ConfigError("PROJCOND_THREADS", f"not a positive integer: {raw!r}")
-    return val
 
 
 def _emit(rows: list[ReportRow], timings: dict, out_prefix: str, seed: int) -> int:
@@ -55,25 +40,22 @@ def _emit(rows: list[ReportRow], timings: dict, out_prefix: str, seed: int) -> i
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
     seed = int(cfg.get("seed", acceptance.DEFAULT_SEED))
     out_prefix = args.out or cfg.get("out", "projcond-report")
     experiments = cfg.get("experiments")
     if experiments is None:
         experiments = [cfg]
+    elif not isinstance(experiments, list):
+        raise ConfigError("experiments", "expected a JSON list of experiment objects")
     timings: dict = {}
-    workers = min(_max_workers(), len(experiments))
-
-    def job(i):
-        return run_experiment(experiments[i], seed, index=i)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(len(experiments))))
-    else:
-        results = [job(i) for i in range(len(experiments))]
     rows: list[ReportRow] = []
-    for i, (exp_rows, ms) in enumerate(results):
-        timings[f"{i}:{experiments[i]['experiment']}"] = round(ms, 3)
+    for i, exp in enumerate(experiments):
+        if not isinstance(exp, dict):
+            raise ConfigError(f"experiments[{i}]", "expected a JSON object")
+        exp_rows, ms = run_experiment(exp, seed, index=i)
+        timings[f"{i}:{exp['experiment']}"] = round(ms, 3)
         rows.extend(exp_rows)
     return _emit(rows, timings, out_prefix, seed)
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
-from .linalg import StiefelMatrix, as_stiefel, haar_stiefel_batch
+from .linalg import StiefelMatrix, as_stiefel, clone_vectors, haar_stiefel_batch
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,14 @@ def sample_clones(B, x, k: int, rng: np.random.Generator) -> CloneDraw:
         raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {B.p}")
     if k < 1:
         raise InvalidDimensionError("need k >= 1")
-    b = B.entries
     v = rng.standard_normal((k, B.d))
-    w = b @ x + v - (v @ b) @ b.T
-    return CloneDraw(B=B, x=x, W=w, V=v)
+    return CloneDraw(B=B, x=x, W=clone_vectors(B.entries, x, v), V=v)
 
 
-def log_density_ratio_gram(
-    x_norm_sq: float, gram: np.ndarray, d: int, p: int
-) -> DensityRatioValue:
-    """Density ratio from the scaled Gram matrix S_k = (w_i'w_j / d).
+def _log_density_ratio_grams(
+    x_norm_sq: float, grams: np.ndarray, d: int, p: int
+) -> np.ndarray:
+    """Log density ratio over an (n, k, k) stack of scaled Gram matrices S_k.
 
     In the support (S_k invertible with ||x||^2 iota'S_k^{-1} iota < d) the
     log-ratio is
@@ -102,38 +100,42 @@ def log_density_ratio_gram(
         + ((d-p-k-1)/2) log(1 - ||x||^2 iota'S_k^{-1} iota / d)
         + k ||x||^2 / 2,
 
-    and -inf otherwise.  The Gram solve replaces any explicit inverse; a
-    failed solve means the density is zero.
+    and -inf otherwise.  The Gram solve replaces any explicit inverse.
     """
-    s = np.asarray(gram, dtype=float)
-    k = s.shape[0]
+    n, k, _ = grams.shape
     if not 1 <= k <= d - p:
         raise InvalidDimensionError(f"need 1 <= k <= d - p, got k={k}, d-p={d - p}")
-    sign, logdet = np.linalg.slogdet(s)
-    if sign <= 0 or not np.isfinite(logdet):
-        return DensityRatioValue(log_ratio=-np.inf, in_domain=False)
-    try:
-        v = np.linalg.solve(s, np.ones(k))
-    except np.linalg.LinAlgError:
-        return DensityRatioValue(log_ratio=-np.inf, in_domain=False)
-    quad = x_norm_sq * float(np.sum(v)) / d
-    if not np.isfinite(quad) or quad >= 1.0:
-        return DensityRatioValue(log_ratio=-np.inf, in_domain=False)
-    val = (
-        log_eta(d, p, k)
-        - 0.5 * p * logdet
-        + 0.5 * (d - p - k - 1) * math.log1p(-quad)
-        + 0.5 * k * x_norm_sq
-    )
-    return DensityRatioValue(log_ratio=float(val), in_domain=True)
+    sign, logdet = np.linalg.slogdet(grams)
+    out = np.full(n, -np.inf)
+    ok = (sign > 0) & np.isfinite(logdet)
+    if np.any(ok):
+        rhs = np.ones((int(ok.sum()), k, 1))
+        sol = np.linalg.solve(grams[ok], rhs)[..., 0]
+        quad = x_norm_sq * np.sum(sol, axis=1) / d
+        good = np.isfinite(quad) & (quad < 1.0)
+        vals = (
+            log_eta(d, p, k)
+            - 0.5 * p * logdet[ok]
+            + 0.5 * (d - p - k - 1) * np.log1p(-np.where(good, quad, 0.0))
+            + 0.5 * k * x_norm_sq
+        )
+        out[np.flatnonzero(ok)] = np.where(good, vals, -np.inf)
+    return out
+
+
+def log_density_ratio_gram(
+    x_norm_sq: float, gram: np.ndarray, d: int, p: int
+) -> DensityRatioValue:
+    """Density ratio from one scaled Gram matrix S_k = (w_i'w_j / d)."""
+    s = np.asarray(gram, dtype=float)
+    val = float(_log_density_ratio_grams(x_norm_sq, s[None], d, p)[0])
+    return DensityRatioValue(log_ratio=val, in_domain=val > -np.inf)
 
 
 def clone_log_density_ratio(x, vectors, p: int) -> DensityRatioValue:
     """Density ratio of k observed d-vectors sharing projection x."""
     w = np.atleast_2d(np.asarray(vectors, dtype=float))
-    k, d = w.shape
-    if k > d - p:
-        raise InvalidDimensionError(f"need k <= d - p, got k={k}, d-p={d - p}")
+    d = w.shape[1]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     gram = w @ w.T / d
     gram = np.triu(gram) + np.triu(gram, 1).T
@@ -144,28 +146,9 @@ def log_density_ratio_batch(
     x_norm_sq: float, vectors: np.ndarray, p: int
 ) -> np.ndarray:
     """Vectorized log density ratio over a (n, k, d) batch of vectors."""
-    n, k, d = vectors.shape
-    if k > d - p:
-        raise InvalidDimensionError(f"need k <= d - p, got k={k}, d-p={d - p}")
+    d = vectors.shape[2]
     gram = np.einsum("nkd,nld->nkl", vectors, vectors) / d
-    sign, logdet = np.linalg.slogdet(gram)
-    ones = np.ones(k)
-    out = np.full(n, -np.inf)
-    ok = sign > 0
-    if np.any(ok):
-        rhs = np.ones((int(ok.sum()), k, 1))
-        sol = np.linalg.solve(gram[ok], rhs)[..., 0]
-        quad = x_norm_sq * np.sum(sol, axis=1) / d
-        good = np.isfinite(quad) & (quad < 1.0)
-        vals = (
-            log_eta(d, p, k)
-            - 0.5 * p * logdet[ok]
-            + 0.5 * (d - p - k - 1) * np.log1p(-np.where(good, quad, 0.0))
-            + 0.5 * k * x_norm_sq
-        )
-        res = np.where(good, vals, -np.inf)
-        out[np.flatnonzero(ok)] = res
-    return out
+    return _log_density_ratio_grams(x_norm_sq, gram, d, p)
 
 
 def _validate_chain(chain, k: int) -> tuple[int, ...]:
@@ -204,15 +187,6 @@ def _cycle_statistic(w: np.ndarray, j: int) -> np.ndarray:
     return stat * np.einsum("nd,nd->n", w[:, j - 1], w[:, 0])
 
 
-def _sample_clone_batch(
-    x: np.ndarray, d: int, p: int, k: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    b = haar_stiefel_batch(d, p, n, rng)
-    v = rng.standard_normal((n, k, d))
-    bv = np.einsum("ndp,nkd->nkp", b, v)
-    return np.einsum("ndp,p->nd", b, x)[:, None, :] + v - np.einsum("nkp,ndp->nkd", bv, b)
-
-
 def gaussian_chain_identity(
     x, d: int, p: int, k: int, chain, n: int, rng: np.random.Generator,
     batch: int = 20000,
@@ -248,7 +222,8 @@ def gaussian_chain_identity(
     done = 0
     while done < n:
         nb = min(batch, n - done)
-        w = _sample_clone_batch(x, d, p, k, nb, rng)
+        b = haar_stiefel_batch(d, p, nb, rng)
+        w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
         if alternating:
             stat = np.zeros(nb)
             for j in range(1, k + 1):
@@ -259,6 +234,8 @@ def gaussian_chain_identity(
         total += float(np.sum(stat))
         total_sq += float(np.sum(stat**2))
         done += nb
+        # drop this batch before the next is drawn, which sets the peak memory
+        del b, w
     mean = total / n
     var = max(total_sq / n - mean**2, 0.0)
     se = math.sqrt(var / n)

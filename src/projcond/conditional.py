@@ -35,7 +35,7 @@ from .distributions import (
     sample_z,
 )
 from .errors import DegenerateDensityError, InvalidDimensionError
-from .linalg import as_stiefel
+from .linalg import as_stiefel, clone_vectors
 from .bounds import PART_A, balanced_tuning
 
 _JACKKNIFE_BLOCKS = 20
@@ -98,7 +98,7 @@ def _ratio_conditional(
         while done < size:
             nb = min(batch, size - done)
             v = rng.standard_normal((nb, d))
-            w = bx[None, :] + v - (v @ b) @ b.T
+            w = clone_vectors(b, x, v)
             log_r = log_density_batch(spec, w) - gaussian_log_density_batch(w)
             r = np.exp(log_r)
             ones = np.ones(nb)
@@ -269,46 +269,52 @@ def _bandwidth_at(pool: ForwardPool, x: np.ndarray) -> float:
     return pool.bandwidth * factor
 
 
-def _window_slice(pool: ForwardPool, x: np.ndarray):
-    """Contiguous window within 4 kernel widths for sorted p = 1 pools."""
+def _window(pool: ForwardPool, x: np.ndarray):
+    """Pool rows within 4 kernel widths of x and their kernel weights.
+
+    For sorted p = 1 pools the rows are a contiguous slice, so indexing the
+    pool with them gives views; for general p they are an index array.
+    """
     h = _bandwidth_at(pool, x)
-    col = pool.proj[:, 0]
-    lo = int(np.searchsorted(col, x[0] - 4.0 * h, side="left"))
-    hi = int(np.searchsorted(col, x[0] + 4.0 * h, side="right"))
-    u = (col[lo:hi] - x[0]) / h
-    return lo, hi, np.exp(-0.5 * u * u)
-
-
-def _nearest_block(sorted_vals: np.ndarray, x0: float, cap: int):
-    """Start/stop of the cap nearest entries of a sorted array around x0."""
-    n = sorted_vals.shape[0]
-    if n <= cap:
-        return 0, n
-    left = int(np.searchsorted(sorted_vals, x0))
-    a_min = max(0, left - cap)
-    a_max = max(a_min, min(left, n - cap))
-    cand = np.arange(a_min, a_max + 1)
-    cost = np.maximum(x0 - sorted_vals[cand], sorted_vals[cand + cap - 1] - x0)
-    a = int(cand[np.argmin(cost)])
-    return a, a + cap
-
-
-def _pool_weights(pool: ForwardPool, x: np.ndarray):
-    """Indices and weights within 4 kernel widths (general-p path)."""
-    u = (pool.proj - x[None, :]) / _bandwidth_at(pool, x)
+    if pool.p == 1:
+        col = pool.proj[:, 0]
+        lo = int(np.searchsorted(col, x[0] - 4.0 * h, side="left"))
+        hi = int(np.searchsorted(col, x[0] + 4.0 * h, side="right"))
+        u = (col[lo:hi] - x[0]) / h
+        return slice(lo, hi), np.exp(-0.5 * u * u)
+    u = (pool.proj - x[None, :]) / h
     dist_sq = np.einsum("np,np->n", u, u)
     idx = np.flatnonzero(dist_sq < 16.0)
-    w = np.exp(-0.5 * dist_sq[idx])
-    return idx, w
+    return idx, np.exp(-0.5 * dist_sq[idx])
+
+
+def _nearest(pool: ForwardPool, x: np.ndarray, rows, w: np.ndarray, cap: int):
+    """The cap rows of a window nearest x in projection distance, with their
+    weights (the whole window when it holds at most cap rows).
+
+    For p = 1 this is the contiguous block of cap sorted projections whose
+    farthest member is closest to x; otherwise the cap highest weights.
+    """
+    if w.shape[0] <= cap:
+        return rows, w
+    if pool.p != 1:
+        keep = np.argpartition(-w, cap)[:cap]
+        return rows[keep], w[keep]
+    vals = pool.proj[rows, 0]
+    x0 = float(x[0])
+    left = int(np.searchsorted(vals, x0))
+    a_min = max(0, left - cap)
+    a_max = max(a_min, min(left, vals.shape[0] - cap))
+    cand = np.arange(a_min, a_max + 1)
+    cost = np.maximum(x0 - vals[cand], vals[cand + cap - 1] - x0)
+    a = int(cand[np.argmin(cost)])
+    return slice(rows.start + a, rows.start + a + cap), w[a: a + cap]
 
 
 def kernel_h(pool: ForwardPool, x) -> float:
     """Projected density at x relative to the standard Gaussian density."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if pool.p == 1:
-        _, _, w = _window_slice(pool, x)
-    else:
-        _, w = _pool_weights(pool, x)
+    _, w = _window(pool, x)
     p = pool.p
     h = _bandwidth_at(pool, x)
     f_hat = float(np.sum(w)) / (pool.n * (2 * math.pi) ** (p / 2) * h**p)
@@ -326,29 +332,16 @@ def kernel_mu(pool: ForwardPool, x, noise_cap: int = 4000):
     variance).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if pool.p == 1:
-        lo, hi, w = _window_slice(pool, x)
-        zw, pw = pool.z[lo:hi], pool.proj[lo:hi]
-    else:
-        idx, w = _pool_weights(pool, x)
-        zw, pw = pool.z[idx], pool.proj[idx]
+    rows, w = _window(pool, x)
     sw = float(np.sum(w))
     if sw <= 0.0 or w.shape[0] < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
     wf = w.astype(np.float32)
-    mu = (wf @ zw).astype(np.float64) / sw
-    proj_mean = (w @ pw) / sw
-    if w.shape[0] > noise_cap:
-        if pool.p == 1:
-            a, b = _nearest_block(pw[:, 0], float(x[0]), noise_cap)
-            zl, wl = zw[a:b], w[a:b]
-        else:
-            keep = np.argpartition(-w, noise_cap)[:noise_cap]
-            zl, wl = zw[keep], w[keep]
-    else:
-        zl, wl = zw, w
+    mu = (wf @ pool.z[rows]).astype(np.float64) / sw
+    proj_mean = (w @ pool.proj[rows]) / sw
+    rows_l, wl = _nearest(pool, x, rows, w, noise_cap)
     resid_sq = (wl**2) @ np.asarray(
-        (zl - mu.astype(np.float32)) ** 2, dtype=np.float64
+        (pool.z[rows_l] - mu.astype(np.float32)) ** 2, dtype=np.float64
     )
     noise = math.sqrt(float(np.sum(resid_sq))) / sw
     return mu, proj_mean, noise
@@ -376,19 +369,8 @@ def kernel_delta_norm(pool: ForwardPool, x, cap: int = 30000):
     moment is then accumulated with one float32 GEMM.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if pool.p == 1:
-        lo, hi, w = _window_slice(pool, x)
-        if hi - lo > cap:
-            a, b_idx = _nearest_block(pool.proj[lo:hi, 0], float(x[0]), cap)
-            lo, hi = lo + a, lo + b_idx
-            w = w[a:b_idx]
-        zl, proj_l = pool.z[lo:hi], pool.proj[lo:hi]
-    else:
-        idx, w = _pool_weights(pool, x)
-        if idx.size > cap:
-            keep = np.argpartition(-w, cap)[:cap]
-            idx, w = idx[keep], w[keep]
-        zl, proj_l = pool.z[idx], pool.proj[idx]
+    rows, w = _nearest(pool, x, *_window(pool, x), cap)
+    zl, proj_l = pool.z[rows], pool.proj[rows]
     if w.shape[0] < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
     sw = float(np.sum(w))

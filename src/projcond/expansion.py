@@ -160,7 +160,7 @@ def poly_relabel(a: dict, perm: tuple[int, ...]) -> dict:
     return out
 
 
-def _iota_neumann_poly(k: int) -> dict:
+def neumann_sum_poly(k: int) -> dict:
     """sum_{j=1}^k iota'(I - S)^j iota as a polynomial in Y = S - I."""
     y_mat = [[poly_unit(a, b) for b in range(k)] for a in range(k)]
     power = y_mat
@@ -235,11 +235,6 @@ def det_power_poly(p: int, k: int) -> dict:
     return _compose_univariate(taylor_p2(p, k), v, k)
 
 
-def neumann_sum_poly(k: int) -> dict:
-    """sum_{j=1}^k iota'(I-S)^j iota as a polynomial in the entries of S - I."""
-    return _iota_neumann_poly(k)
-
-
 def _check_thresholds(x_norm_sq: float, k: int, p: int, d: int):
     if not 1 <= k <= MAX_K:
         raise InvalidDimensionError(f"need 1 <= k <= {MAX_K}, got k={k}")
@@ -253,10 +248,8 @@ def _check_thresholds(x_norm_sq: float, k: int, p: int, d: int):
 
 def _psi_unsymmetrized(x_norm_sq: float, k: int, p: int, d: int) -> dict:
     q1_coeffs = taylor_p1(x_norm_sq, k) + taylor_r1(d, p, k, x_norm_sq)
-    u = _iota_neumann_poly(k)
-    q1 = _compose_univariate(q1_coeffs, u, k)
-    v = poly_add(_det_product_poly(k), poly_const(-1.0))
-    q2 = _compose_univariate(taylor_p2(p, k), v, k)
+    q1 = _compose_univariate(q1_coeffs, neumann_sum_poly(k), k)
+    q2 = det_power_poly(p, k)
     eta = math.exp(log_eta(d, p, k))
     return poly_mul(poly_scale(q1, eta), q2, k)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, clones, conditional, distributions, linalg, moments
-from .errors import ConfigError
+from .errors import ConfigError, ConstraintViolatedError, ProjcondError, RankDeficientError
 from .expansion import remainder_diagnostic
 from .streams import substream
 
@@ -83,7 +83,7 @@ def _require(cfg: dict, name: str, kind, cond=None, what: str = ""):
     val = cfg[name]
     try:
         val = kind(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(name, f"expected {kind.__name__}") from None
     if cond is not None and not cond(val):
         raise ConfigError(name, what or "out of range")
@@ -98,14 +98,14 @@ def _spec_from(cfg: dict, default_d: int | None = None) -> distributions.Distrib
         raw = dict(raw, d=default_d)
     try:
         return distributions.DistributionSpec.from_json(raw)
-    except Exception as exc:
+    except (TypeError, ValueError, ProjcondError) as exc:
         raise ConfigError("spec", str(exc)) from None
 
 
 def _dims(cfg: dict) -> tuple[int, int, int]:
     d = _require(cfg, "d", int, lambda v: v >= 2, "need d >= 2")
-    p = _require(cfg, "p", int, lambda v: 1 <= v < cfg["d"], "need 1 <= p < d")
-    k = _require(cfg, "k", int, lambda v: 1 <= v <= cfg["d"] - cfg["p"], "need 1 <= k <= d - p")
+    p = _require(cfg, "p", int, lambda v: 1 <= v < d, "need 1 <= p < d")
+    k = _require(cfg, "k", int, lambda v: 1 <= v <= d - p, "need 1 <= k <= d - p")
     return d, p, k
 
 
@@ -159,7 +159,7 @@ def run_bartlett_check(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
         xx = rng.standard_normal(p) * 0.3
         try:
             B = linalg.stiefel_from_constraints(w, xx)
-        except Exception:
+        except (ConstraintViolatedError, RankDeficientError):
             continue
         fr = linalg.frame_decompose(B, xx, w)
         gram = w @ w.T
@@ -360,7 +360,7 @@ def run_asymptotic_scan(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
     try:
         rows_scan = bounds.asymptotic_scan(cons, lambda ld: p, grid, tau=tau, part=part)
         ok = True
-    except Exception:
+    except ProjcondError:
         rows_scan = []
         ok = False
     out = [bool_row("asymptotic-scan", f"p={p};part={part};monotone-decreasing", ok)]
@@ -420,17 +420,19 @@ def validate_config(cfg: dict):
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown kind {kind!r}; choose from {sorted(EXPERIMENTS)}")
-    if "d" in cfg and "p" in cfg:
-        d, p = int(cfg["d"]), int(cfg["p"])
-        if not 1 <= p < d:
-            raise ConfigError("p", f"need 1 <= p < d, got p={p}, d={d}")
-    if "d" in cfg and "k" in cfg:
-        d, k = int(cfg["d"]), int(cfg["k"])
-        p = int(cfg.get("p", 1))
-        if not 1 <= k <= d - p:
-            raise ConfigError("k", f"need 1 <= k <= d - p, got k={k}, d={d}, p={p}")
-    if "spec" in cfg and cfg["spec"] is not None:
+    if "d" in cfg:
+        d = _require(cfg, "d", int)
+        p = 1
+        if "p" in cfg:
+            p = _require(cfg, "p", int, lambda v: 1 <= v < d, f"need 1 <= p < d = {d}")
+        if "k" in cfg:
+            _require(cfg, "k", int, lambda v: 1 <= v <= d - p, f"need 1 <= k <= d - p = {d - p}")
+    if "n" in cfg:
+        _require(cfg, "n", int, lambda v: v >= 1, "need n >= 1")
+    if cfg.get("spec") is not None:
         raw = cfg["spec"]
+        if not isinstance(raw, dict):
+            raise ConfigError("spec", f"expected a JSON object, got {raw!r}")
         if raw.get("family") not in distributions.FAMILIES:
             raise ConfigError("spec.family", f"unknown family {raw.get('family')!r}")
 

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from projcond import acceptance
+from projcond import acceptance, linalg
 from projcond.cli import main
-from projcond.experiments import CSV_HEADER, run_experiment
+from projcond.experiments import CSV_HEADER, run_bartlett_check, run_experiment
 from projcond.errors import ConfigError
 
 
@@ -42,23 +43,6 @@ def test_run_experiment_list_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_run_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg_obj = {
-        "seed": 11,
-        "experiments": [
-            {"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "n": 5_000},
-            {"experiment": "clone-density-check", "d": 30, "p": 1, "k": 2, "n": 5_000},
-            {"experiment": "theorem-bound", "d": 1e6, "p": 2, "t": 1.0, "tau": 0.5},
-        ],
-    }
-    cfg = _write(tmp_path, "cfg.json", cfg_obj)
-    monkeypatch.setenv("PROJCOND_THREADS", "1")
-    main(["run", cfg, "--out", str(tmp_path / "w1")])
-    monkeypatch.setenv("PROJCOND_THREADS", "3")
-    main(["run", cfg, "--out", str(tmp_path / "w3")])
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
-
-
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "experiment": "clone-density-check", "d": 3, "p": 5, "k": 1,
@@ -66,6 +50,22 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "'p'" in err
+
+
+@pytest.mark.parametrize("cfg_obj, field", [
+    ({"experiment": "clone-density-check", "d": "abc", "p": 1, "k": 1}, "'d'"),
+    ([{"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5}], "'config'"),
+    ({"experiment": "prop5-cases", "d": 100, "n": 10_000, "spec": "gaussian"}, "'spec'"),
+    ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "n": 0}, "'n'"),
+    ({"experiments": [{"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5}, 3]},
+     "'experiments[1]'"),
+])
+def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
+    cfg = _write(tmp_path, "cfg.json", cfg_obj)
+    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and field in err
+    assert "Traceback" not in err
 
 
 def test_unknown_experiment_exit_code(tmp_path):
@@ -107,14 +107,6 @@ def test_missing_config_file():
     assert main(["run", "/nonexistent/q.json"]) == 2
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "cfg.json", {
-        "experiment": "theorem-bound", "d": 100.0, "p": 2, "t": 1.0, "tau": 0.5,
-    })
-    monkeypatch.setenv("PROJCOND_THREADS", "zero")
-    assert main(["run", cfg, "--out", str(tmp_path / "x")]) == 2
-
-
 def test_mutated_eta_is_caught(monkeypatch):
     monkeypatch.setenv("PROJCOND_MUTATE", "eta")
     rows = acceptance.run_criterion(1)
@@ -149,3 +141,15 @@ def test_row_validation_helpers():
     cfg = {"experiment": "clone-density-check", "d": 30, "p": 1, "k": 40}
     with pytest.raises(ConfigError):
         run_experiment(cfg, 1)
+
+
+def test_frame_construction_bug_is_not_skipped(monkeypatch):
+    # only an infeasible or rank-deficient frame is skipped; any other error
+    # from the frame construction propagates
+    def broken(w, x):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(linalg, "stiefel_from_constraints", broken)
+    cfg = {"experiment": "bartlett-check", "d": 12, "p": 1, "k": 2, "n": 1000, "n_frames": 3}
+    with pytest.raises(TypeError, match="injected"):
+        run_bartlett_check(cfg, np.random.default_rng(0))

@@ -30,9 +30,7 @@ def test_clone_norm_second_moment(rng_factory):
     rng = rng_factory("clone-norm")
     x = np.array([1.0, 0.0])
     b = linalg.haar_stiefel_batch(d, p, n, rng)
-    v = rng.standard_normal((n, d))
-    bv = np.einsum("ndp,nd->np", b, v)
-    w = np.einsum("ndp,p->nd", b, x) + v - np.einsum("np,ndp->nd", bv, b)
+    w = linalg.clone_vectors(b, x, rng.standard_normal((n, 1, d)))[:, 0]
     sq = np.einsum("nd,nd->n", w, w)
     se = sq.std() / math.sqrt(n)
     assert abs(sq.mean() - (1.0 + d - p)) < 4 * se
@@ -75,6 +73,23 @@ def test_ratio_trivial_and_domain():
         clones.clone_log_density_ratio(np.array([0.0]), np.eye(4), 1)
 
 
+def test_ratio_gram_matches_batch(rng_factory):
+    # the single-Gram and batched evaluations agree in the domain, outside
+    # it (large ||x||) and on a singular Gram (a repeated vector)
+    rng = rng_factory("ratio-gram-batch")
+    d, p, k = 12, 2, 3
+    v = rng.standard_normal((40, k, d))
+    v[0, 1] = v[0, 0]
+    for x_norm_sq in (0.0, 0.6, 6.0):
+        batch = clones.log_density_ratio_batch(x_norm_sq, v, p)
+        single = [clones.log_density_ratio_gram(x_norm_sq, w @ w.T / d, d, p) for w in v]
+        assert [s.log_ratio for s in single] == pytest.approx(batch.tolist(), rel=1e-12)
+        assert [s.in_domain for s in single] == np.isfinite(batch).tolist()
+        assert not single[0].in_domain
+    assert np.isfinite(clones.log_density_ratio_batch(0.6, v, p)[1:]).all()
+    assert not np.isfinite(clones.log_density_ratio_batch(6.0, v, p)).all()
+
+
 def test_ratio_permutation_invariance(rng_factory):
     rng = rng_factory("ratio-perm")
     w = rng.standard_normal((3, 15))
@@ -101,9 +116,8 @@ def test_radial_law_matches_density(rng_factory):
     x = np.array([0.6])
     n = 1_000_000
     rng = rng_factory("radial")
-    b = linalg.haar_stiefel_batch(d, p, n, rng)[:, :, 0]
-    v = rng.standard_normal((n, d))
-    w = b * x[0] + v - b * np.einsum("nd,nd->n", b, v)[:, None]
+    b = linalg.haar_stiefel_batch(d, p, n, rng)
+    w = linalg.clone_vectors(b, x, rng.standard_normal((n, 1, d)))[:, 0]
     radii = np.linalg.norm(w, axis=1)
 
     def radial_pdf(r):

@@ -203,6 +203,28 @@ def test_kernel_delta_norm_reproducible_on_eigsh_path(rng_factory):
     assert all(cond.kernel_delta_norm(pool, x) == first for _ in range(3))
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_capped_kernel_rows_are_nearest(rng_factory, p):
+    # the capped window holds the cap pool rows nearest x in projection
+    # distance, checked against a brute-force sort of the whole pool
+    rng = rng_factory("kernel-cap", p)
+    d, cap = 6, 700
+    pool = cond.build_pool(dist.iid_marginal("uniform", d), linalg.haar_stiefel(d, p, rng),
+                           20_000, rng, bandwidth=0.4)
+    for x in (np.array([0.0, 0.0]), np.array([-1.3, 0.4]), np.array([2.2, -0.5])):
+        x = x[:p]
+        rows, w = cond._window(pool, x)
+        assert w.shape[0] > cap
+        kept, w_kept = cond._nearest(pool, x, rows, w, cap)
+        if p == 1:
+            assert isinstance(kept, slice)
+        kept = np.arange(pool.n)[kept]
+        dist_sq = np.sum((pool.proj - x) ** 2, axis=1)
+        assert sorted(kept.tolist()) == sorted(np.argsort(dist_sq)[:cap].tolist())
+        h = cond._bandwidth_at(pool, x)
+        assert np.allclose(w_kept, np.exp(-0.5 * dist_sq[kept] / h**2), rtol=1e-12)
+
+
 def test_build_pool_rejects_empty_pool(rng_factory):
     from projcond.errors import InvalidDimensionError
 

@@ -206,3 +206,34 @@ def test_bartlett_check_small(rng_factory):
         linalg.bartlett_distribution_check(12, 1, 20, 20_000, rng_factory("b2"))
     with pytest.raises(InvalidDimensionError):
         linalg.bartlett_distribution_check(12, 1, 2, 10, rng_factory("b3"))
+
+
+def test_clone_vectors_stack_matches_single_frames(rng_factory):
+    rng = rng_factory("clone-stack")
+    d, p, k, n = 9, 3, 4, 50
+    x = np.array([0.8, -0.3, 0.1])
+    b = linalg.haar_stiefel_batch(d, p, n, rng)
+    v = rng.standard_normal((n, k, d))
+    w = linalg.clone_vectors(b, x, v)
+    assert w.shape == (n, k, d)
+    for i in range(n):
+        # W_j = Bx + (I - BB')V_j, written out for one frame
+        direct = b[i] @ x + v[i] @ (np.eye(d) - b[i] @ b[i].T)
+        assert np.max(np.abs(w[i] - direct)) < 1e-12
+        assert np.max(np.abs(w[i] - linalg.clone_vectors(b[i], x, v[i]))) < 1e-12
+    assert np.max(np.abs(w @ b - x)) < 1e-12
+
+
+def test_bartlett_gate_catches_partial_projection(rng_factory, monkeypatch):
+    # clones that project out only p - 1 columns of B no longer share the
+    # projection x, and the s/t laws move away from their Bartlett forms
+    def check(i):
+        rep = linalg.bartlett_distribution_check(20, 2, 3, 5000, rng_factory("bartlett-power", i))
+        return rep.min_pvalue > 0.01
+
+    # the gate also fails on about 5% of streams with correct clones, so the
+    # control runs on streams where it passes
+    assert all(check(i) for i in (1, 2, 3))
+    full = linalg.clone_vectors
+    monkeypatch.setattr(linalg, "clone_vectors", lambda b, x, v: full(b[..., :-1], x[:-1], v))
+    assert not any(check(i) for i in (1, 2, 3))
