@@ -48,9 +48,7 @@ def criterion_01_density_normalization(seed: int) -> list[ReportRow]:
     """Clone density integrates to one under its Gaussian reference."""
     rows = []
     for i, (d, p, k) in enumerate(((30, 1, 1), (30, 1, 2), (50, 2, 2))):
-        cfg = {"experiment": "clone-density-check", "d": d, "p": p, "k": k,
-               "n": 100_000, "x_norms": [0.0, 0.5]}
-        rows += run_clone_density_check(cfg, substream(seed, "c1", i))
+        rows += run_clone_density_check(substream(seed, "c1", i), d=d, p=p, k=k)
     return rows
 
 
@@ -70,16 +68,11 @@ def criterion_02_eta_bound(seed: int) -> list[ReportRow]:
 
 
 def criterion_03_bartlett(seed: int) -> list[ReportRow]:
-    cfg = {"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3,
-           "n": 100_000, "level": 0.01, "n_frames": 100}
-    return run_bartlett_check(cfg, substream(seed, "c3"))
+    return run_bartlett_check(substream(seed, "c3"), d=20, p=2, k=3)
 
 
 def criterion_04_expansion(seed: int) -> list[ReportRow]:
-    cfg = {"experiment": "expansion-order", "d": 10_000, "p": 1,
-           "ks": [1, 2, 4], "x_norm": 0.5,
-           "eps_grid": [0.02, 0.01, 0.005, 0.0025], "slope_tol": 0.3}
-    return run_expansion_order(cfg, substream(seed, "c4"))
+    return run_expansion_order(substream(seed, "c4"))
 
 
 def criterion_05_gaussian_zero_cases(seed: int) -> list[ReportRow]:
@@ -94,24 +87,16 @@ def criterion_05_gaussian_zero_cases(seed: int) -> list[ReportRow]:
     rows.append(exact_row("gaussian-zero", "mu==Bx",
                           float(np.max(np.abs(est.mu_hat - B.entries @ x))), 0.0, 1e-12))
     rows.append(exact_row("gaussian-zero", "delta==0", est.delta_op_norm_hat, 0.0, 1e-12))
-    cfg = {"experiment": "normalzero-check", "d": 60, "p": 1, "k": 4,
-           "n": 100_000, "x_norm": 0.5,
-           "chains": [[0], [0, 2], [0, 3], [0, 4], [0, 2, 4], "alternating"]}
-    rows += run_normalzero_check(cfg, substream(seed, "c5-chains"))
-    cfg2 = dict(cfg, k=2, chains=[[0], [0, 2], "alternating"])
-    rows += run_normalzero_check(cfg2, substream(seed, "c5-chains-k2"))
+    rows += run_normalzero_check(substream(seed, "c5-chains"))
+    rows += run_normalzero_check(substream(seed, "c5-chains-k2"), k=2,
+                                 chains=((0,), (0, 2), "alternating"))
     return rows
 
 
 def criterion_06_prop5(seed: int) -> list[ReportRow]:
     rows = []
-    for i, spec in enumerate((
-        {"family": "gaussian"},
-        {"family": "iid-marginal", "marginal": "uniform"},
-        {"family": "iid-marginal", "marginal": "exponential"},
-    )):
-        cfg = {"experiment": "prop5-cases", "spec": spec, "d": 100, "n": 100_000}
-        rows += run_prop5_cases(cfg, substream(seed, "c6", i))
+    for i, spec in enumerate(ALL_SPECS[:3]):
+        rows += run_prop5_cases(substream(seed, "c6", i), spec=spec)
     return rows
 
 
@@ -130,15 +115,10 @@ def criterion_07_quadratic_identity(seed: int) -> list[ReportRow]:
 
 
 def criterion_08_conditional_trend(seed: int) -> list[ReportRow]:
-    cfg = {
-        "experiment": "conditional-linearity",
-        "spec": {"family": "iid-marginal", "marginal": "uniform"},
-        "d_list": [32, 128, 512], "p": 1, "t": 0.5,
-        "n_frames": 20, "n_outer": 100,
-        "n_inner": {"32": 60_000, "128": 100_000, "512": 120_000},
-        "bandwidths": {"512": 0.2},
-    }
-    return run_conditional_linearity(cfg, substream(seed, "c8"))
+    return run_conditional_linearity(
+        substream(seed, "c8"), n_inner={32: 60_000, 128: 100_000, 512: 120_000},
+        bandwidths={512: 0.2},
+    )
 
 
 def _uniform_fiber_quadrature(bvec: np.ndarray, x: float, npts: int = 10_000):

@@ -24,7 +24,6 @@ LOG_2_SQRT_PI_E = math.log(2.0) + 0.5 * (math.log(math.pi) + 1.0)  # log(2 sqrt(
 PART_A = "A"
 PART_B = "B"
 _PART_SCALE = {PART_A: 3, PART_B: 5}
-_PART_K = {PART_A: 2, PART_B: 4}
 
 
 def xi_effective(xi: float, epsilon: float, part: str) -> float:

@@ -4,7 +4,7 @@ Subcommands:
   run <config.json>        run one experiment (or an "experiments" list)
   verify --profile smoke|full
   bound --part A|B --d --p --t --tau [--kappa --g --epsilon --xi --D]
-  scan <config.json>       formula-level asymptotic scan
+  scan <config.json>       run with the kind defaulting to asymptotic-scan
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
 """
@@ -18,7 +18,7 @@ import time
 
 from . import acceptance, bounds, moments
 from .errors import ConfigError, ProjcondError
-from .experiments import ReportRow, run_experiment, write_csv, write_summary
+from .experiments import ReportRow, read_field, run_experiment, write_csv, write_summary
 
 
 def _emit(rows: list[ReportRow], timings: dict, out_prefix: str, seed: int) -> int:
@@ -38,26 +38,34 @@ def _emit(rows: list[ReportRow], timings: dict, out_prefix: str, seed: int) -> i
 
 
 def _cmd_run(args) -> int:
+    """``run`` and ``scan``: one experiment object or an "experiments" list,
+    with the top-level fields seed and out."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
-    seed = int(cfg.get("seed", acceptance.DEFAULT_SEED))
-    out_prefix = args.out or cfg.get("out", "projcond-report")
-    experiments = cfg.get("experiments")
+    seed = read_field("seed", int, cfg.pop("seed", acceptance.DEFAULT_SEED))
+    if seed < 0:
+        raise ConfigError("seed", "need seed >= 0")
+    out_prefix = read_field("out", str, cfg.pop("out", args.default_out))
+    experiments = cfg.pop("experiments", None)
     if experiments is None:
         experiments = [cfg]
     elif not isinstance(experiments, list):
         raise ConfigError("experiments", "expected a JSON list of experiment objects")
+    elif cfg:
+        raise ConfigError(next(iter(cfg)), "only seed and out may stand beside an experiments list")
     timings: dict = {}
     rows: list[ReportRow] = []
     for i, exp in enumerate(experiments):
         if not isinstance(exp, dict):
             raise ConfigError(f"experiments[{i}]", "expected a JSON object")
+        if args.default_kind:
+            exp = {"experiment": args.default_kind, **exp}
         exp_rows, ms = run_experiment(exp, seed, index=i)
         timings[f"{i}:{exp['experiment']}"] = round(ms, 3)
         rows.extend(exp_rows)
-    return _emit(rows, timings, out_prefix, seed)
+    return _emit(rows, timings, args.out or out_prefix, seed)
 
 
 def _cmd_verify(args) -> int:
@@ -103,16 +111,6 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    cfg.setdefault("experiment", "asymptotic-scan")
-    seed = int(cfg.get("seed", acceptance.DEFAULT_SEED))
-    rows, ms = run_experiment(cfg, seed)
-    out_prefix = args.out or cfg.get("out", "projcond-scan")
-    return _emit(rows, {"asymptotic-scan": round(ms, 3)}, out_prefix, seed)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="projcond")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run experiments from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, default_kind=None, default_out="projcond-report")
 
     p_ver = sub.add_parser("verify", help="run the smoke or full acceptance suite")
     p_ver.add_argument("--profile", choices=("smoke", "full"), default="smoke")
@@ -144,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="formula-level asymptotic scan")
     p_scan.add_argument("config")
     p_scan.add_argument("--out", default=None)
-    p_scan.set_defaults(func=_cmd_scan)
+    p_scan.set_defaults(func=_cmd_run, default_kind="asymptotic-scan", default_out="projcond-scan")
     return parser
 
 

@@ -19,6 +19,8 @@ from scipy.special import gammaln
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
 from .linalg import StiefelMatrix, as_stiefel, clone_vectors, haar_stiefel_batch
 
+_CHAIN_BATCH = 20000  # samples per batch of frames and clones in the chain identities
+
 
 @dataclass(frozen=True)
 class CloneDraw:
@@ -189,7 +191,6 @@ def _cycle_statistic(w: np.ndarray, j: int) -> np.ndarray:
 
 def gaussian_chain_identity(
     x, d: int, p: int, k: int, chain, n: int, rng: np.random.Generator,
-    batch: int = 20000,
 ):
     """Monte Carlo check of the exact clone-moment identities.
 
@@ -221,7 +222,7 @@ def gaussian_chain_identity(
     total_sq = 0.0
     done = 0
     while done < n:
-        nb = min(batch, n - done)
+        nb = min(_CHAIN_BATCH, n - done)
         b = haar_stiefel_batch(d, p, nb, rng)
         w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
         if alternating:

@@ -39,6 +39,10 @@ from .linalg import as_stiefel, clone_vectors
 from .bounds import PART_A, balanced_tuning
 
 _JACKKNIFE_BLOCKS = 20
+_POOL_CHUNK = 20000   # pool rows sampled per float64 block
+_NOISE_CAP = 4000     # highest-weight rows behind the kernel mean's noise scale
+_GRAM_CAP = 30000     # most rows in one kernel second-moment Gram
+_XI_EFF = 1.0 / 6.0   # xi_1 of part A at the default moment constants
 
 
 @dataclass
@@ -52,10 +56,6 @@ class ConditionalEstimates:
     delta_op_norm_hat: float | None
     delta_se: float | None
     n_inner: int
-
-    def mu_deviation(self, B, x) -> float:
-        b = as_stiefel(B).entries
-        return float(np.linalg.norm(self.mu_hat - b @ np.atleast_1d(x)))
 
 
 def _weighted_gram(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,7 +230,6 @@ def build_pool(
     n_pool: int,
     rng: np.random.Generator,
     bandwidth: float | None = None,
-    chunk: int = 20000,
 ) -> ForwardPool:
     if n_pool < 1:
         raise InvalidDimensionError("need n_pool >= 1")
@@ -239,7 +238,7 @@ def build_pool(
     proj = np.empty((n_pool, B.p))
     done = 0
     while done < n_pool:
-        nb = min(chunk, n_pool - done)
+        nb = min(_POOL_CHUNK, n_pool - done)
         block = sample_z(spec, nb, rng)
         z[done: done + nb] = block
         proj[done: done + nb] = block @ B.entries
@@ -322,7 +321,7 @@ def kernel_h(pool: ForwardPool, x) -> float:
     return f_hat / math.exp(log_phi)
 
 
-def kernel_mu(pool: ForwardPool, x, noise_cap: int = 4000):
+def kernel_mu(pool: ForwardPool, x):
     """Kernel-regression estimate of E[Z | B'Z = x] and its noise scale.
 
     Returns (mu_hat, proj_mean, noise_norm): the weighted mean of the pool,
@@ -339,7 +338,7 @@ def kernel_mu(pool: ForwardPool, x, noise_cap: int = 4000):
     wf = w.astype(np.float32)
     mu = (wf @ pool.z[rows]).astype(np.float64) / sw
     proj_mean = (w @ pool.proj[rows]) / sw
-    rows_l, wl = _nearest(pool, x, rows, w, noise_cap)
+    rows_l, wl = _nearest(pool, x, rows, w, _NOISE_CAP)
     resid_sq = (wl**2) @ np.asarray(
         (pool.z[rows_l] - mu.astype(np.float32)) ** 2, dtype=np.float64
     )
@@ -358,18 +357,18 @@ def kernel_mu_deviation(pool: ForwardPool, x):
     return float(np.linalg.norm(mu - pool.b @ proj_mean)), noise
 
 
-def kernel_delta_norm(pool: ForwardPool, x, cap: int = 30000):
+def kernel_delta_norm(pool: ForwardPool, x):
     """Operator norm of the smoothed conditional second-moment deviation.
 
     Compares Ehat_w[ZZ'] against I + B(Ehat_w[(B'Z)(B'Z)'] - I_p)B', i.e.
     the projection block of the target is smoothed with the same weights,
-    cancelling the first-order kernel bias.  When more than ``cap`` pool
-    points fall inside the kernel window, only the ``cap`` highest-weight
+    cancelling the first-order kernel bias.  When more than _GRAM_CAP pool
+    points fall inside the kernel window, only the _GRAM_CAP highest-weight
     points are kept (a locally narrowed bandwidth); the weighted second
     moment is then accumulated with one float32 GEMM.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows, w = _nearest(pool, x, *_window(pool, x), cap)
+    rows, w = _nearest(pool, x, *_window(pool, x), _GRAM_CAP)
     zl, proj_l = pool.z[rows], pool.proj[rows]
     if w.shape[0] < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
@@ -396,12 +395,10 @@ def kernel_delta_norm(pool: ForwardPool, x, cap: int = 30000):
 # deviation probabilities and the good-set membership test
 
 
-def _resolve_engine(engine: str, spec: DistributionSpec) -> str:
-    if engine == "auto":
-        return "ratio" if spec.family == "gaussian" else "kernel"
-    if engine not in ("ratio", "kernel"):
-        raise InvalidDimensionError(f"unknown engine '{engine}'")
-    return engine
+def _resolve_engine(spec: DistributionSpec) -> str:
+    """The ratio engine is exact for the Gaussian; every other law takes the
+    kernel engine, which scales to large d."""
+    return "ratio" if spec.family == "gaussian" else "kernel"
 
 
 @dataclass
@@ -416,8 +413,8 @@ class DeviationProbability:
     t: float
     mean_prob: float
     mean_se: float
-    var_prob: float | None
-    var_se: float | None
+    var_prob: float
+    var_se: float
     noise_floor_mu: float
     n_outer: int
     n_inner: int
@@ -431,8 +428,6 @@ def deviation_probability(
     n_outer: int,
     n_inner: int,
     rng: np.random.Generator,
-    engine: str = "auto",
-    include_variance: bool = True,
     bandwidth: float | None = None,
 ) -> DeviationProbability:
     """Outer-loop deviation frequencies for the conditional mean/variance.
@@ -446,7 +441,7 @@ def deviation_probability(
     if n_inner < 1000:
         raise InvalidDimensionError("need n_inner >= 10^3")
     B = as_stiefel(B)
-    engine = _resolve_engine(engine, spec)
+    engine = _resolve_engine(spec)
     b = B.entries
     z_outer = sample_z(spec, n_outer, rng)
     xs = z_outer @ b
@@ -461,8 +456,7 @@ def deviation_probability(
     for j in range(n_outer):
         x = xs[j]
         if engine == "ratio":
-            est = _ratio_conditional(spec, B, x, n_inner, rng,
-                                     second_moment=include_variance)
+            est = _ratio_conditional(spec, B, x, n_inner, rng)
             if est.h_hat <= 0.0:
                 # no usable weight: the estimator carries no information here
                 dev_mu = math.inf
@@ -470,18 +464,17 @@ def deviation_probability(
                 noise = math.inf
             else:
                 dev_mu = float(np.linalg.norm(est.mu_hat - b @ x))
-                dev_delta = est.delta_op_norm_hat if include_variance else None
+                dev_delta = est.delta_op_norm_hat
                 noise = float(np.linalg.norm(est.mu_se))
         else:
             dev_mu, noise = kernel_mu_deviation(pool, x)
-            dev_delta = kernel_delta_norm(pool, x) if include_variance else None
+            dev_delta = kernel_delta_norm(pool, x)
         mean_hits += dev_mu > t
-        if include_variance:
-            var_hits += dev_delta > t
+        var_hits += dev_delta > t
         noise_acc += noise
 
     mean_p = mean_hits / n_outer
-    var_p = var_hits / n_outer if include_variance else None
+    var_p = var_hits / n_outer
 
     def binom(q):
         return math.sqrt(q * (1.0 - q) / n_outer)
@@ -491,7 +484,7 @@ def deviation_probability(
         mean_prob=mean_p,
         mean_se=binom(mean_p),
         var_prob=var_p,
-        var_se=binom(var_p) if include_variance else None,
+        var_se=binom(var_p),
         noise_floor_mu=noise_acc / n_outer,
         n_outer=n_outer,
         n_inner=n_inner,
@@ -525,17 +518,15 @@ def g_membership(
     n_x: int,
     n_inner: int,
     rng: np.random.Generator,
-    xi_eff: float = 1.0 / 6.0,
     tau1: float | None = None,
-    tau2: float | None = None,
-    engine: str = "auto",
 ) -> GMembershipReport:
     """Estimate the defining integral of the good set and test membership.
 
     The integral of ||mu_(x|B) - Bx||^2 h(x|B)^2 over the Gaussian ball
     ||x|| <= M_d is estimated by rejection-sampled Gaussian x's; the
-    ball probability rescales the conditional mean.  tau1/tau2 default to
-    the balanced tuning given tau and xi_eff, but can be overridden.
+    ball probability rescales the conditional mean.  tau1 and tau2 come
+    from the balanced tuning given tau and xi_1 = 1/6 (part A at the default
+    moment constants); tau1 can be overridden.
     """
     from scipy.stats import chi2
 
@@ -545,12 +536,11 @@ def g_membership(
         raise InvalidDimensionError("need d >= 3 so that log d > 1")
     if n_x < 100:
         raise InvalidDimensionError("need n_x >= 100")
-    t1_default, t2_default = balanced_tuning(tau, xi_eff, PART_A)
+    t1_default, tau2 = balanced_tuning(tau, _XI_EFF, PART_A)
     tau1 = t1_default if tau1 is None else tau1
-    tau2 = t2_default if tau2 is None else tau2
     m_d = math.sqrt(tau1 * math.log(d) / gamma)
     delta_d = d ** (-tau2)
-    engine = _resolve_engine(engine, spec)
+    engine = _resolve_engine(spec)
     if m_d <= 1.0:
         return GMembershipReport(
             M_d=m_d, delta_d=delta_d, integral_hat=0.0, integral_se=0.0,

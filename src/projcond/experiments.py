@@ -11,16 +11,19 @@ written as 0 in CSV output, with measured timings kept in the JSON summary.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
 from . import bounds, clones, conditional, distributions, linalg, moments
 from .errors import ConfigError, ConstraintViolatedError, ProjcondError, RankDeficientError
 from .expansion import remainder_diagnostic
+from .moments import MomentConditionConstants
 from .streams import substream
 
 CSV_HEADER = ["experiment", "params", "estimate", "se", "target", "pass", "ms"]
@@ -77,47 +80,112 @@ def write_summary(summary: dict, path: str):
         fh.write("\n")
 
 
-def _require(cfg: dict, name: str, kind, cond=None, what: str = ""):
-    if name not in cfg:
-        raise ConfigError(name, "missing")
-    val = cfg[name]
+# ---------------------------------------------------------------------------
+# the config schema: a runner's keyword parameters are the fields of its
+# kind, and each annotation is the cast that reads a field's JSON value
+
+
+def _json_list(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a JSON list, got {type(v).__name__}")
+    return v
+
+
+def int_list(v) -> tuple[int, ...]:
+    return tuple(int(x) for x in _json_list(v))
+
+
+def float_list(v) -> tuple[float, ...]:
+    return tuple(float(x) for x in _json_list(v))
+
+
+def int_by_d(v) -> dict[int, int]:
+    """An object keyed by dimension, such as {"512": 120000}."""
+    return {int(key): int(x) for key, x in v.items()}
+
+
+def float_by_d(v) -> dict[int, float]:
+    return {int(key): float(x) for key, x in v.items()}
+
+
+def optional_float(v) -> float | None:
+    return None if v is None else float(v)
+
+
+def spec_object(v) -> dict:
+    """A distribution-spec object, checked with a stand-in d; the runner
+    fills in the experiment's d."""
+    distributions.DistributionSpec.from_json({"d": 1, **v})
+    return v
+
+
+def chain_list(v) -> tuple:
+    """Chains, each a list of indices or the keyword "alternating"."""
+    return tuple(c if isinstance(c, str) else int_list(c) for c in _json_list(v))
+
+
+CAST_ERRORS = (TypeError, ValueError, OverflowError, KeyError, AttributeError, ProjcondError)
+
+# field -> (condition on the bound arguments, message), checked after the
+# defaults are bound; d bounds p and k in the kinds that have a d
+RANGES = {
+    "d": (lambda a: a["d"] >= 2, "need d >= 2"),
+    "p": (lambda a: 1 <= a["p"] < a.get("d", math.inf), "need 1 <= p < d"),
+    "k": (lambda a: 1 <= a["k"] <= a.get("d", math.inf) - a.get("p", 0), "need 1 <= k <= d - p"),
+    "n": (lambda a: a["n"] >= 1, "need n >= 1"),
+    "tau": (lambda a: 0 < a["tau"] < 1, "need 0 < tau < 1"),
+}
+
+
+def read_field(name: str, cast, value):
+    """cast(value), with any failure reported as a ConfigError naming the field."""
     try:
-        val = kind(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(name, f"expected {kind.__name__}") from None
-    if cond is not None and not cond(val):
-        raise ConfigError(name, what or "out of range")
-    return val
+        return cast(value)
+    except CAST_ERRORS as exc:
+        raise ConfigError(name, f"bad value ({type(exc).__name__}: {exc})") from None
 
 
-def _spec_from(cfg: dict, default_d: int | None = None) -> distributions.DistributionSpec:
-    raw = cfg.get("spec")
-    if raw is None:
-        raise ConfigError("spec", "missing distribution spec")
-    if "d" not in raw and default_d is not None:
-        raw = dict(raw, d=default_d)
-    try:
-        return distributions.DistributionSpec.from_json(raw)
-    except (TypeError, ValueError, ProjcondError) as exc:
-        raise ConfigError("spec", str(exc)) from None
+def parse_config(fn, cfg: dict) -> dict:
+    """The keyword arguments of runner ``fn`` read from a config object.
 
-
-def _dims(cfg: dict) -> tuple[int, int, int]:
-    d = _require(cfg, "d", int, lambda v: v >= 2, "need d >= 2")
-    p = _require(cfg, "p", int, lambda v: 1 <= v < d, "need 1 <= p < d")
-    k = _require(cfg, "k", int, lambda v: 1 <= v <= d - p, "need 1 <= k <= d - p")
-    return d, p, k
+    Every parameter after ``rng`` is a field: one without a default is
+    required, and its annotation is the cast applied to the JSON value.
+    Raises ConfigError naming a field that is unknown, missing, fails its
+    cast or lies outside RANGES.
+    """
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    casts = get_type_hints(fn)
+    known = {prm.name for prm in params}
+    for name in cfg:
+        if name not in known:
+            raise ConfigError(name, "allowed at the top level of a config only"
+                              if name in ("experiment", "seed", "out")
+                              else f"unknown field; expected one of {sorted(known)}")
+    args = {}
+    for prm in params:
+        if prm.name in cfg:
+            args[prm.name] = read_field(prm.name, casts[prm.name], cfg[prm.name])
+        elif prm.default is inspect.Parameter.empty:
+            raise ConfigError(prm.name, "missing")
+        else:
+            args[prm.name] = prm.default
+    for name, (ok, what) in RANGES.items():
+        if name in args and not ok(args):
+            raise ConfigError(name, what)
+    return args
 
 
 # ---------------------------------------------------------------------------
 # experiment implementations
 
+UNIFORM = {"family": "iid-marginal", "marginal": "uniform"}
 
-def run_clone_density_check(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
+
+def run_clone_density_check(
+    rng: np.random.Generator, d: int, p: int, k: int, n: int = 100_000,
+    x_norms: float_list = (0.0, 0.5),
+) -> list[ReportRow]:
     """Importance-sampling normalization: E exp(log ratio) = 1 over Gaussians."""
-    d, p, k = _dims(cfg)
-    n = int(cfg.get("n", 100_000))
-    x_norms = cfg.get("x_norms", [0.0, 0.5])
     rows = []
     for xn in x_norms:
         total = total_sq = 0.0
@@ -125,7 +193,7 @@ def run_clone_density_check(cfg: dict, rng: np.random.Generator) -> list[ReportR
         while done < n:
             nb = min(20000, n - done)
             v = rng.standard_normal((nb, k, d))
-            r = np.exp(clones.log_density_ratio_batch(float(xn) ** 2, v, p))
+            r = np.exp(clones.log_density_ratio_batch(xn**2, v, p))
             total += float(np.sum(r))
             total_sq += float(np.sum(r * r))
             done += nb
@@ -137,10 +205,10 @@ def run_clone_density_check(cfg: dict, rng: np.random.Generator) -> list[ReportR
     return rows
 
 
-def run_bartlett_check(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    d, p, k = _dims(cfg)
-    n = int(cfg.get("n", 100_000))
-    level = float(cfg.get("level", 0.01))
+def run_bartlett_check(
+    rng: np.random.Generator, d: int, p: int, k: int, n: int = 100_000,
+    level: float = 0.01, corr_tol: float = 0.02, n_frames: int = 100,
+) -> list[ReportRow]:
     x = np.zeros(p)
     x[0] = 1.0
     rep = linalg.bartlett_distribution_check(d, p, k, n, rng, x=x)
@@ -149,11 +217,12 @@ def run_bartlett_check(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
                  f"d={d};p={p};k={k};n={n};min_pvalue={rep.min_pvalue:.5f};level={level}",
                  rep.min_pvalue > level),
         exact_row("bartlett-check", f"d={d};p={p};k={k};max_abs_corr",
-                  rep.max_abs_correlation, 0.0, float(cfg.get("corr_tol", 0.02))),
+                  rep.max_abs_correlation, 0.0, corr_tol),
     ]
-    # determinant identity on random frames
-    n_frames = int(cfg.get("n_frames", 100))
+    # determinant identity on random frames; infeasible or rank-deficient
+    # frames are skipped, and a check that kept no frame fails
     worst = 0.0
+    kept = 0
     for _ in range(n_frames):
         w = rng.standard_normal((k, d)) * math.sqrt(d / 4)
         xx = rng.standard_normal(p) * 0.3
@@ -161,22 +230,22 @@ def run_bartlett_check(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
             B = linalg.stiefel_from_constraints(w, xx)
         except (ConstraintViolatedError, RankDeficientError):
             continue
+        kept += 1
         fr = linalg.frame_decompose(B, xx, w)
         gram = w @ w.T
         target = 1.0 - float(xx @ xx * np.ones(k) @ np.linalg.solve(gram, np.ones(k)))
         worst = max(worst, abs(fr.det_lambda - target))
-    rows.append(exact_row("bartlett-check", f"d={d};p={p};k={k};lambda_det;frames={n_frames}",
-                          worst, 0.0, 1e-8))
+    skipped = f";skipped={n_frames - kept}" if kept < n_frames else ""
+    rows.append(exact_row("bartlett-check", f"d={d};p={p};k={k};lambda_det;frames={n_frames}{skipped}",
+                          worst if kept else math.inf, 0.0, 1e-8))
     return rows
 
 
-def run_expansion_order(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    d = int(cfg.get("d", 10_000))
-    p = int(cfg.get("p", 1))
-    ks = [int(v) for v in cfg.get("ks", [1, 2, 4])]
-    x_norm = float(cfg.get("x_norm", 0.5))
-    eps_grid = [float(v) for v in cfg.get("eps_grid", [0.02, 0.01, 0.005, 0.0025])]
-    slope_tol = float(cfg.get("slope_tol", 0.3))
+def run_expansion_order(
+    rng: np.random.Generator, d: int = 10_000, p: int = 1, ks: int_list = (1, 2, 4),
+    x_norm: float = 0.5, eps_grid: float_list = (0.02, 0.01, 0.005, 0.0025),
+    slope_tol: float = 0.3,
+) -> list[ReportRow]:
     rows = []
     for k in ks:
         x = np.zeros(p)
@@ -198,67 +267,61 @@ def run_expansion_order(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
     return rows
 
 
-def run_moment_conditions(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
+def run_moment_conditions(
+    rng: np.random.Generator, spec: spec_object = UNIFORM, d_list: int_list = (100, 400),
+    n_blocks: int = 20_000, k: int = 2,
+) -> list[ReportRow]:
     """Quadratic-monomial identity d E[(S-I)_12^2] = 1 plus an alpha estimate."""
-    spec_raw = cfg.get("spec", {"family": "iid-marginal", "marginal": "uniform"})
-    d_list = [int(v) for v in cfg.get("d_list", [100, 400])]
-    n_blocks = int(cfg.get("n_blocks", 20_000))
-    k = int(cfg.get("k", 2))
     rows = []
     mono = moments.MonomialSpec(pairs=((1, 2), (1, 2)))
     for d in d_list:
-        spec = distributions.DistributionSpec.from_json(dict(spec_raw, d=d))
-        est, se, target = moments.estimate_monomial_mean(spec, d, mono, n_blocks, rng)
+        law = distributions.DistributionSpec.from_json(dict(spec, d=d))
+        est, se, target = moments.estimate_monomial_mean(law, d, mono, n_blocks, rng)
         rows.append(ReportRow("moment-conditions",
-                              f"{spec.label};d={d};G=(1,2)^2;n={n_blocks}", est, se, target))
-        alpha, alpha_se = moments.estimate_b1a(spec, d, k, 0.5, max(n_blocks // 4, 1000), rng)
+                              f"{law.label};d={d};G=(1,2)^2;n={n_blocks}", est, se, target))
+        alpha, alpha_se = moments.estimate_b1a(law, d, k, 0.5, max(n_blocks // 4, 1000), rng)
         rows.append(info_row("moment-conditions",
-                             f"{spec.label};d={d};k={k};alpha_hat={alpha:.4f};se={alpha_se:.4f}",
+                             f"{law.label};d={d};k={k};alpha_hat={alpha:.4f};se={alpha_se:.4f}",
                              alpha))
-        cons = moments.estimated_constants(spec, d, k, max(n_blocks // 4, 1000), rng)
+        cons = moments.estimated_constants(law, d, k, max(n_blocks // 4, 1000), rng)
         record = json.dumps(cons.to_json(), sort_keys=True, separators=(",", ":"))
         rows.append(info_row("moment-conditions",
-                             f"{spec.label};d={d};constants={record}", cons.alpha))
+                             f"{law.label};d={d};constants={record}", cons.alpha))
     return rows
 
 
-def run_prop5_cases(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    d = int(cfg.get("d", 100))
-    n = int(cfg.get("n", 100_000))
-    spec = _spec_from(cfg, default_d=d)
-    res = moments.prop5_special_cases(spec, d, n, rng)
+def run_prop5_cases(
+    rng: np.random.Generator, spec: spec_object, d: int = 100, n: int = 100_000,
+) -> list[ReportRow]:
+    law = distributions.DistributionSpec.from_json({"d": d, **spec})
+    res = moments.prop5_special_cases(law, d, n, rng)
     rows = []
     for name, (est, se), target in zip(
         ("var_norm", "cube", "var_sq"), (res.case_a, res.case_b, res.case_c), res.analytic
     ):
-        rows.append(ReportRow("prop5-cases", f"{spec.label};d={d};case={name};n={n}",
+        rows.append(ReportRow("prop5-cases", f"{law.label};d={d};case={name};n={n}",
                               est, se, target))
     return rows
 
 
-def run_conditional_linearity(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
+def run_conditional_linearity(
+    rng: np.random.Generator, spec: spec_object = UNIFORM, d_list: int_list = (32, 128, 512),
+    p: int = 1, t: float = 0.5, n_frames: int = 20, n_outer: int = 100,
+    n_inner: int_by_d = {}, bandwidths: float_by_d = {},
+) -> list[ReportRow]:
     """Deviation probabilities across a d-grid must not increase (mean and
-    variance displays), tested pairwise with exceedance rows."""
-    spec_raw = cfg.get("spec", {"family": "iid-marginal", "marginal": "uniform"})
-    d_list = [int(v) for v in cfg.get("d_list", [32, 128, 512])]
-    p = int(cfg.get("p", 1))
-    t = float(cfg.get("t", 0.5))
-    n_frames = int(cfg.get("n_frames", 20))
-    n_outer = int(cfg.get("n_outer", 100))
-    pools = cfg.get("n_inner", {})
-    bandwidths = cfg.get("bandwidths", {})
+    variance displays), tested pairwise with exceedance rows.  n_inner and
+    bandwidths are keyed by d; the pool defaults to max(60000, 300 d)."""
     stats = {}
     rows = []
     for d in d_list:
-        spec = distributions.DistributionSpec.from_json(dict(spec_raw, d=d))
-        n_inner = int(pools.get(str(d), max(60_000, 300 * d)))
-        bw = bandwidths.get(str(d))
+        law = distributions.DistributionSpec.from_json(dict(spec, d=d))
         per_mean, per_var = [], []
         for rep in range(n_frames):
             B = linalg.haar_stiefel(d, p, rng)
             res = conditional.deviation_probability(
-                spec, B, t=t, n_outer=n_outer, n_inner=n_inner, rng=rng,
-                bandwidth=bw,
+                law, B, t=t, n_outer=n_outer, n_inner=n_inner.get(d, max(60_000, 300 * d)),
+                rng=rng, bandwidth=bandwidths.get(d),
             )
             per_mean.append(res.mean_prob)
             per_var.append(res.var_prob)
@@ -267,10 +330,10 @@ def run_conditional_linearity(cfg: dict, rng: np.random.Generator) -> list[Repor
             "var": (float(np.mean(per_var)), float(np.std(per_var) / math.sqrt(n_frames))),
         }
         rows.append(info_row("conditional-linearity",
-                             f"{spec.label};d={d};t={t};display=mean;prob={stats[d]['mean'][0]:.4f}",
+                             f"{law.label};d={d};t={t};display=mean;prob={stats[d]['mean'][0]:.4f}",
                              stats[d]["mean"][0]))
         rows.append(info_row("conditional-linearity",
-                             f"{spec.label};d={d};t={t};display=variance;prob={stats[d]['var'][0]:.4f}",
+                             f"{law.label};d={d};t={t};display=variance;prob={stats[d]['var'][0]:.4f}",
                              stats[d]["var"][0]))
     for display in ("mean", "var"):
         for d_lo, d_hi in zip(d_list, d_list[1:]):
@@ -284,17 +347,12 @@ def run_conditional_linearity(cfg: dict, rng: np.random.Generator) -> list[Repor
     return rows
 
 
-def run_g_membership(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    d = int(cfg.get("d", 256))
-    p = int(cfg.get("p", 1))
-    spec = _spec_from(cfg, default_d=d)
-    n_frames = int(cfg.get("n_frames", 10))
-    tau = float(cfg.get("tau", 0.5))
-    n_x = int(cfg.get("n_x", 100))
-    n_inner = int(cfg.get("n_inner", 50_000))
-    g = float(cfg.get("g", 1.0))
-    D = float(cfg.get("D", 1.0))
-    tau1 = cfg.get("tau1")
+def run_g_membership(
+    rng: np.random.Generator, spec: spec_object, d: int = 256, p: int = 1, n_frames: int = 10,
+    tau: float = 0.5, n_x: int = 100, n_inner: int = 50_000, g: float = 1.0,
+    D: float = 1.0, tau1: optional_float = None,
+) -> list[ReportRow]:
+    law = distributions.DistributionSpec.from_json({"d": d, **spec})
     gamma = bounds.gamma_constant(g, D, bounds.PART_A)
     members = 0
     rows = []
@@ -302,25 +360,24 @@ def run_g_membership(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
     for i in range(n_frames):
         B = linalg.haar_stiefel(d, p, rng)
         rep = conditional.g_membership(
-            spec, B, tau=tau, gamma=gamma, n_x=n_x, n_inner=n_inner, rng=rng,
-            tau1=None if tau1 is None else float(tau1),
+            law, B, tau=tau, gamma=gamma, n_x=n_x, n_inner=n_inner, rng=rng, tau1=tau1,
         )
         members += rep.member
         m_d = rep.M_d
         rows.append(info_row(
             "g-membership",
-            f"{spec.label};d={d};B={i};integral={rep.integral_hat:.5g};"
+            f"{law.label};d={d};B={i};integral={rep.integral_hat:.5g};"
             f"se={rep.integral_se:.3g};delta_d={rep.delta_d:.4g};member={int(rep.member)}",
             float(rep.member),
         ))
     frac = members / n_frames
-    cons = moments.MomentConditionConstants(D=D)
+    cons = MomentConditionConstants(D=D)
     nu_bound = bounds.theorem_bound(bounds.TheoremBoundInputs(
         d=d, p=p, t=1.0, tau=tau, constants=cons, g=g, part=bounds.PART_A
     )).nu_gc_bound
     rows.append(info_row(
         "g-membership",
-        f"{spec.label};d={d};p={p};M_d={m_d:.4f};member_frac={frac:.3f};nu_gc_bound={nu_bound:.4g}",
+        f"{law.label};d={d};p={p};M_d={m_d:.4f};member_frac={frac:.3f};nu_gc_bound={nu_bound:.4g}",
         frac,
     ))
     if m_d <= 1.0:
@@ -328,18 +385,14 @@ def run_g_membership(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
     return rows
 
 
-def run_theorem_bound(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    part = str(cfg.get("part", "A"))
-    d = _require(cfg, "d", float, lambda v: v >= 2, "need d >= 2")
-    p = _require(cfg, "p", int, lambda v: 1 <= v < cfg["d"], "need 1 <= p < d")
-    t = float(cfg.get("t", 1.0))
-    tau = _require(cfg, "tau", float, lambda v: 0 < v < 1, "need tau in (0,1)")
-    cons = moments.MomentConditionConstants.from_json(cfg.get("constants", {}))
-    inputs = bounds.TheoremBoundInputs(
-        d=d, p=p, t=t, tau=tau, constants=cons,
-        kappa=float(cfg.get("kappa", 1.0)), g=float(cfg.get("g", 1.0)), part=part,
-    )
-    res = bounds.theorem_bound(inputs)
+def run_theorem_bound(
+    rng: np.random.Generator, d: float, p: int, tau: float, part: str = "A", t: float = 1.0,
+    constants: MomentConditionConstants.from_json = MomentConditionConstants(),
+    kappa: float = 1.0, g: float = 1.0,
+) -> list[ReportRow]:
+    res = bounds.theorem_bound(bounds.TheoremBoundInputs(
+        d=d, p=p, t=t, tau=tau, constants=constants, kappa=kappa, g=g, part=part,
+    ))
     tag = "vacuous" if res.deviation_vacuous else "informative"
     return [
         info_row("theorem-bound",
@@ -351,14 +404,13 @@ def run_theorem_bound(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
     ]
 
 
-def run_asymptotic_scan(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    grid = [float(v) for v in cfg.get("log_d_grid", [1e3, 1e4, 1e5, 1e6])]
-    p = int(cfg.get("p", 2))
-    tau = float(cfg.get("tau", 0.5))
-    part = str(cfg.get("part", "A"))
-    cons = moments.MomentConditionConstants.from_json(cfg.get("constants", {}))
+def run_asymptotic_scan(
+    rng: np.random.Generator, log_d_grid: float_list = (1e3, 1e4, 1e5, 1e6), p: int = 2,
+    tau: float = 0.5, part: str = "A",
+    constants: MomentConditionConstants.from_json = MomentConditionConstants(),
+) -> list[ReportRow]:
     try:
-        rows_scan = bounds.asymptotic_scan(cons, lambda ld: p, grid, tau=tau, part=part)
+        rows_scan = bounds.asymptotic_scan(constants, lambda ld: p, log_d_grid, tau=tau, part=part)
         ok = True
     except ProjcondError:
         rows_scan = []
@@ -380,22 +432,17 @@ def run_asymptotic_scan(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
     return out
 
 
-def run_normalzero_check(cfg: dict, rng: np.random.Generator) -> list[ReportRow]:
-    d = int(cfg.get("d", 60))
-    p = int(cfg.get("p", 1))
-    k = int(cfg.get("k", 4))
-    n = int(cfg.get("n", 100_000))
-    x_norm = float(cfg.get("x_norm", 0.5))
+def run_normalzero_check(
+    rng: np.random.Generator, d: int = 60, p: int = 1, k: int = 4, n: int = 100_000,
+    x_norm: float = 0.5,
+    chains: chain_list = ((0,), (0, 2), (0, 3), (0, 4), (0, 2, 4), "alternating"),
+) -> list[ReportRow]:
     x = np.zeros(p)
     x[0] = x_norm
-    chain_cfgs = cfg.get("chains")
-    if chain_cfgs is None:
-        chain_cfgs = [[0], [0, 2], [0, 3], [0, 4], [0, 2, 4], "alternating"]
     rows = []
-    for chain in chain_cfgs:
-        spec = tuple(chain) if isinstance(chain, (list, tuple)) else str(chain)
-        est, se = clones.gaussian_chain_identity(x, d, p, k, spec, n, rng)
-        label = "alt" if isinstance(spec, str) else "-".join(map(str, spec))
+    for chain in chains:
+        est, se = clones.gaussian_chain_identity(x, d, p, k, chain, n, rng)
+        label = "alt" if isinstance(chain, str) else "-".join(map(str, chain))
         rows.append(ReportRow("normalzero-check",
                               f"d={d};p={p};k={k};|x|={x_norm};chain={label};n={n}",
                               est, se if se > 0 else 1e-12, 0.0))
@@ -416,31 +463,14 @@ EXPERIMENTS = {
 }
 
 
-def validate_config(cfg: dict):
-    kind = cfg.get("experiment")
-    if kind not in EXPERIMENTS:
-        raise ConfigError("experiment", f"unknown kind {kind!r}; choose from {sorted(EXPERIMENTS)}")
-    if "d" in cfg:
-        d = _require(cfg, "d", int)
-        p = 1
-        if "p" in cfg:
-            p = _require(cfg, "p", int, lambda v: 1 <= v < d, f"need 1 <= p < d = {d}")
-        if "k" in cfg:
-            _require(cfg, "k", int, lambda v: 1 <= v <= d - p, f"need 1 <= k <= d - p = {d - p}")
-    if "n" in cfg:
-        _require(cfg, "n", int, lambda v: v >= 1, "need n >= 1")
-    if cfg.get("spec") is not None:
-        raw = cfg["spec"]
-        if not isinstance(raw, dict):
-            raise ConfigError("spec", f"expected a JSON object, got {raw!r}")
-        if raw.get("family") not in distributions.FAMILIES:
-            raise ConfigError("spec.family", f"unknown family {raw.get('family')!r}")
-
-
 def run_experiment(cfg: dict, seed: int, index: int = 0) -> tuple[list[ReportRow], float]:
-    validate_config(cfg)
-    kind = cfg["experiment"]
+    """Run one experiment object: its "experiment" kind and that kind's fields."""
+    kind = cfg.get("experiment")
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
+        raise ConfigError("experiment", f"unknown kind {kind!r}; choose from {sorted(EXPERIMENTS)}")
+    fn = EXPERIMENTS[kind]
+    args = parse_config(fn, {name: v for name, v in cfg.items() if name != "experiment"})
     rng = substream(seed, kind, index)
     t0 = time.perf_counter()
-    rows = EXPERIMENTS[kind](cfg, rng)
+    rows = fn(rng, **args)
     return rows, (time.perf_counter() - t0) * 1000.0

@@ -26,7 +26,3 @@ def substream(root_seed: int, label: str, index: int = 0) -> np.random.Generator
     """
     seq = np.random.SeedSequence([int(root_seed), _label_key(label), int(index)])
     return np.random.Generator(np.random.Philox(seq))
-
-
-def default_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))

@@ -1,12 +1,24 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projcond import acceptance, linalg
 from projcond.cli import main
-from projcond.experiments import CSV_HEADER, run_bartlett_check, run_experiment
-from projcond.errors import ConfigError
+from projcond.experiments import (
+    CSV_HEADER,
+    EXPERIMENTS,
+    parse_config,
+    run_bartlett_check,
+    run_experiment,
+)
+from projcond.errors import ConfigError, ConstraintViolatedError
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write(tmp_path, name, obj):
@@ -17,11 +29,12 @@ def _write(tmp_path, name, obj):
 
 def test_run_single_experiment(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
-        "seed": 3, "experiment": "clone-density-check",
+        "seed": 3, "out": str(tmp_path / "from-config"), "experiment": "clone-density-check",
         "d": 30, "p": 1, "k": 1, "n": 20_000,
     })
     out = str(tmp_path / "rep")
     assert main(["run", cfg, "--out", out]) == 0
+    assert not (tmp_path / "from-config.csv").exists()
     lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 3
@@ -59,6 +72,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "n": 0}, "'n'"),
     ({"experiments": [{"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5}, 3]},
      "'experiments[1]'"),
+    ({"experiment": "asymptotic-scan", "seed": "abc"}, "'seed'"),
+    ({"experiment": "asymptotic-scan", "seed": -1}, "'seed'"),
+    ({"experiment": "bartlett-check", "d": 12, "p": 1, "k": 2, "n_frames": "x"}, "'n_frames'"),
+    ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "x_norms": "ab"},
+     "'x_norms'"),
+    ({"experiment": "asymptotic-scan", "log_d_grid": "abc"}, "'log_d_grid'"),
+    ({"experiment": "moment-conditions", "d_list": 5}, "'d_list'"),
+    ({"experiment": "conditional-linearity", "n_inner": 5000}, "'n_inner'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5, "constants": 3},
+     "'constants'"),
+    ({"experiment": "bartlett-check", "d": 12, "p": 1, "k": 2, "n_frame": 3}, "'n_frame'"),
+    ({"experiments": [{"experiment": "asymptotic-scan", "seed": 3}]}, "'seed'"),
+    ({"experiments": [{"experiment": "asymptotic-scan"}], "tau": 0.5}, "'tau'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -80,7 +106,7 @@ def test_bound_command(capsys):
     assert "vacuous" in out and "xi_eff" in out
 
 
-def test_scan_command(tmp_path):
+def test_scan_command(tmp_path, capsys):
     cfg = _write(tmp_path, "scan.json", {
         "p": 2, "part": "A", "tau": 0.5,
         "log_d_grid": [1e3, 1e4, 1e5, 1e6],
@@ -88,6 +114,11 @@ def test_scan_command(tmp_path):
     assert main(["scan", cfg, "--out", str(tmp_path / "scan")]) == 0
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert any("below-1e-3" in ln for ln in lines)
+    # scan reads its config as run does
+    cfg = _write(tmp_path, "list.json", [{"p": 2}])
+    assert main(["scan", cfg, "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'config'" in err
 
 
 def test_verify_smoke(tmp_path, capsys):
@@ -150,6 +181,69 @@ def test_frame_construction_bug_is_not_skipped(monkeypatch):
         raise TypeError("injected")
 
     monkeypatch.setattr(linalg, "stiefel_from_constraints", broken)
-    cfg = {"experiment": "bartlett-check", "d": 12, "p": 1, "k": 2, "n": 1000, "n_frames": 3}
     with pytest.raises(TypeError, match="injected"):
-        run_bartlett_check(cfg, np.random.default_rng(0))
+        run_bartlett_check(np.random.default_rng(0), d=12, p=1, k=2, n=1000, n_frames=3)
+
+
+def test_bartlett_check_with_every_frame_skipped_fails(monkeypatch):
+    def infeasible(w, x):
+        raise ConstraintViolatedError("injected")
+
+    monkeypatch.setattr(linalg, "stiefel_from_constraints", infeasible)
+    rows = run_bartlett_check(np.random.default_rng(0), d=12, p=1, k=2, n=1000, n_frames=3)
+    det = rows[-1]
+    assert det.params.endswith("lambda_det;frames=3;skipped=3")
+    assert not det.passed
+
+
+def test_all_kinds_report_matches_golden(tmp_path):
+    """`projcond run` on tests/data/all_kinds.json, nineteen experiments
+    over all ten kinds at seed 777, writes tests/data/all_kinds.csv byte for
+    byte.  A refactor that claims to change no result must keep this.  The
+    golden file was written on x86-64 with NumPy 2.4.6 and OpenBLAS; another
+    BLAS can round the last printed digit of a few rows differently."""
+    cfg = json.loads((DATA / "all_kinds.json").read_text())
+    assert {exp["experiment"] for exp in cfg["experiments"]} == set(EXPERIMENTS)
+    out = tmp_path / "all_kinds"
+    assert main(["run", str(DATA / "all_kinds.json"), "--out", str(out)]) == 0
+    assert (tmp_path / "all_kinds.csv").read_bytes() == (DATA / "all_kinds.csv").read_bytes()
+
+
+def test_readme_lists_every_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    for kind, fn in EXPERIMENTS.items():
+        row = next(line for line in readme if line.startswith(f"| `{kind}` |"))
+        for name in list(inspect.signature(fn).parameters)[1:]:
+            assert f"`{name}`" in row, (kind, name)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+           | st.sampled_from(["gaussian", "iid-marginal", "uniform", "A", "alternating", "64"]))
+SHALLOW = SCALARS | st.lists(SCALARS, max_size=3)
+JSON_VALUES = SCALARS | st.lists(SHALLOW, max_size=4) | st.dictionaries(
+    st.sampled_from(["family", "marginal", "d", "64", "xi"]) | st.text(max_size=3),
+    SHALLOW, max_size=4)
+
+# one valid config of each kind, without its "experiment" field
+VALID_CONFIGS = {exp.pop("experiment"): exp for exp in json.loads(
+    (DATA / "all_kinds.json").read_text())["experiments"]}
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
+def test_parse_config_raises_only_config_errors(kind, data):
+    # a valid config of the kind (from the golden file) with fields dropped
+    # and any JSON value put in known or unknown fields either parses into
+    # the runner's keyword arguments or raises ConfigError; no experiment runs
+    fn = EXPERIMENTS[kind]
+    fields = list(inspect.signature(fn).parameters)[1:]
+    valid = VALID_CONFIGS[kind]
+    dropped = data.draw(st.sets(st.sampled_from(sorted(valid))))
+    names = st.sampled_from(fields + ["n_frame", "seed", "experiment"]) | st.text(max_size=4)
+    cfg = {name: v for name, v in valid.items() if name not in dropped}
+    cfg.update(data.draw(st.dictionaries(names, JSON_VALUES, max_size=3)))
+    try:
+        args = parse_config(fn, cfg)
+    except ConfigError:
+        return
+    assert list(args) == fields

@@ -180,11 +180,8 @@ def test_coefficient_bound_shape_reported():
 def test_expansion_order_gate_catches_truncated_expansion(monkeypatch):
     # criterion 4's slope rows, on correct code and with the approximant cut
     # one degree short (the remainder is then of order k, not k + 1)
-    cfg = {"experiment": "expansion-order", "d": 10_000, "p": 1, "ks": [1, 2, 4],
-           "x_norm": 0.5, "eps_grid": [0.02, 0.01, 0.005, 0.0025], "slope_tol": 0.3}
-
     def slope_rows():
-        rows = experiments.run_expansion_order(cfg, np.random.default_rng(0))
+        rows = experiments.run_expansion_order(np.random.default_rng(0))
         return [r for r in rows if r.params.endswith(";slope")]
 
     assert [r.passed for r in slope_rows()] == [True, True, True]
