@@ -26,6 +26,11 @@ PART_B = "B"
 _PART_SCALE = {PART_A: 3, PART_B: 5}
 
 
+def _check_part(part: str):
+    if part not in _PART_SCALE:
+        raise InvalidDimensionError("part must be 'A' or 'B'")
+
+
 def xi_effective(xi: float, epsilon: float, part: str) -> float:
     """min{xi, eps/2 + 1/4, 1/2} divided by 3 (part A) or 5 (part B)."""
     return min(xi, epsilon / 2.0 + 0.25, 0.5) / _PART_SCALE[part]
@@ -86,8 +91,7 @@ class TheoremBoundInputs:
     part: str = PART_A
 
     def __post_init__(self):
-        if self.part not in (PART_A, PART_B):
-            raise InvalidDimensionError("part must be 'A' or 'B'")
+        _check_part(self.part)
         if not self.p < self.d:
             raise InvalidDimensionError("need p < d")
         if not 0.0 < self.tau < 1.0:
@@ -206,6 +210,7 @@ def asymptotic_scan(
     one.  Both bounds are evaluated in the log domain, so the grid may reach
     log d = 10^6 and beyond.
     """
+    _check_part(part)
     grid = [float(v) for v in log_d_grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidDimensionError("log_d_grid must be increasing with >= 2 points")

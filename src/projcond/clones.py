@@ -4,7 +4,9 @@ Clones are W_j = Bx + (I - BB')V_j for a Haar-distributed frame B and i.i.d.
 standard Gaussian V_j: k vectors sharing the same projection x.  Their joint
 density relative to i.i.d. standard Gaussians depends on the observed vectors
 only through the scaled Gram matrix S_k and ||x||, which this module
-evaluates entirely in the log domain.
+evaluates entirely in the log domain.  A common rotation of B and the V_j
+leaves W_i'W_j = ||x||^2 + V_i'(I - BB')V_j unchanged, so its law is the same
+for every fixed B, and the moment identities draw one Haar frame per call.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
 from .linalg import StiefelMatrix, as_stiefel, clone_vectors, haar_stiefel_batch
+from .streams import mean_se
 
-_CHAIN_BATCH = 20000  # samples per batch of frames and clones in the chain identities
+_CHAIN_BATCH = 20000  # samples per batch of clones in the chain identities
 
 
 @dataclass(frozen=True)
@@ -165,28 +168,12 @@ def _validate_chain(chain, k: int) -> tuple[int, ...]:
     return idx
 
 
-def _chain_statistic(w: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    """Product over chains of consecutive inner products of the clones.
-
-    For each segment (j_(i-1), j_i], multiplies W_a'W_{a+1} ... W_{b-1}'W_b;
-    an empty index set gives the constant 1.
-    """
-    n = w.shape[0]
-    stat = np.ones(n)
-    for a, b in zip(idx, idx[1:]):
-        for j in range(a, b - 1):
-            stat = stat * np.einsum("nd,nd->n", w[:, j], w[:, j + 1])
+def _product_of_inner_products(w: np.ndarray, pairs) -> np.ndarray:
+    """Per sample, the product of W_a'W_b over (a, b) in pairs (1 if none)."""
+    stat = np.ones(w.shape[0])
+    for a, b in pairs:
+        stat = stat * np.einsum("nd,nd->n", w[:, a], w[:, b])
     return stat
-
-
-def _cycle_statistic(w: np.ndarray, j: int) -> np.ndarray:
-    """W_1'W_2 W_2'W_3 ... W_j W_j'W_1 (the squared norm when j = 1)."""
-    if j == 1:
-        return np.einsum("nd,nd->n", w[:, 0], w[:, 0])
-    stat = np.einsum("nd,nd->n", w[:, 0], w[:, 1])
-    for i in range(1, j - 1):
-        stat = stat * np.einsum("nd,nd->n", w[:, i], w[:, i + 1])
-    return stat * np.einsum("nd,nd->n", w[:, j - 1], w[:, 0])
 
 
 def gaussian_chain_identity(
@@ -198,7 +185,8 @@ def gaussian_chain_identity(
     E[prod of chain inner products of W] - ||x||^(2(j_m - m)), which is
     exactly zero.  For ``chain = "alternating"`` estimates the signed
     binomial combination of cycle statistics minus (1 - ||x||^2)^k, also
-    exactly zero (k even).  Returns (estimate, standard error).
+    exactly zero (k even).  Returns (estimate, standard error).  Both depend
+    on W only through W_i'W_j, whose law is free of B: one Haar frame serves.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != p:
@@ -213,31 +201,30 @@ def gaussian_chain_identity(
         if k % 2 != 0:
             raise InvalidChainError("the alternating-sum identity needs k even")
         target = (1.0 - xsq) ** k
+        # the cycles W_1'W_2 ... W_j'W_1 (the squared norm for j = 1), each
+        # with its signed binomial coefficient
+        cycles = [((-1.0) ** (k - j) * math.comb(k, j), [(i, (i + 1) % j) for i in range(j)])
+                  for j in range(1, k + 1)]
     else:
         idx = _validate_chain(chain, k)
-        m = len(idx) - 1
-        target = xsq ** (idx[-1] - m)
+        target = xsq ** (idx[-1] - (len(idx) - 1))
+        # each segment (lo, hi] contributes W_{lo+1}'W_{lo+2} ... W_{hi-1}'W_hi
+        pairs = [(j, j + 1) for lo, hi in zip(idx, idx[1:]) for j in range(lo, hi - 1)]
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        nb = min(_CHAIN_BATCH, n - done)
-        b = haar_stiefel_batch(d, p, nb, rng)
+    total = total_sq = 0.0
+    b = haar_stiefel_batch(d, p, 1, rng)[0]
+    for start in range(0, n, _CHAIN_BATCH):
+        nb = min(_CHAIN_BATCH, n - start)
         w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
         if alternating:
             stat = np.zeros(nb)
-            for j in range(1, k + 1):
-                coef = (-1.0) ** (k - j) * math.comb(k, j)
-                stat += coef * (_cycle_statistic(w, j) - d + p - 1.0)
+            for coef, cycle in cycles:
+                stat += coef * (_product_of_inner_products(w, cycle) - d + p - 1.0)
         else:
-            stat = _chain_statistic(w, idx)
+            stat = _product_of_inner_products(w, pairs)
         total += float(np.sum(stat))
         total_sq += float(np.sum(stat**2))
-        done += nb
         # drop this batch before the next is drawn, which sets the peak memory
-        del b, w
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0)
-    se = math.sqrt(var / n)
+        del w
+    mean, se = mean_se(total, total_sq, n)
     return mean - target, se

@@ -24,7 +24,7 @@ from . import bounds, clones, conditional, distributions, linalg, moments
 from .errors import ConfigError, ConstraintViolatedError, ProjcondError, RankDeficientError
 from .expansion import remainder_diagnostic
 from .moments import MomentConditionConstants
-from .streams import substream
+from .streams import mean_se, substream
 
 CSV_HEADER = ["experiment", "params", "estimate", "se", "target", "pass", "ms"]
 
@@ -88,6 +88,8 @@ def write_summary(summary: dict, path: str):
 def _json_list(v) -> list:
     if not isinstance(v, list):
         raise TypeError(f"expected a JSON list, got {type(v).__name__}")
+    if not v:
+        raise ValueError("expected a non-empty list")
     return v
 
 
@@ -133,6 +135,8 @@ RANGES = {
     "p": (lambda a: 1 <= a["p"] < a.get("d", math.inf), "need 1 <= p < d"),
     "k": (lambda a: 1 <= a["k"] <= a.get("d", math.inf) - a.get("p", 0), "need 1 <= k <= d - p"),
     "n": (lambda a: a["n"] >= 1, "need n >= 1"),
+    "n_frames": (lambda a: a["n_frames"] >= 1, "need n_frames >= 1"),
+    "n_blocks": (lambda a: a["n_blocks"] >= 1, "need n_blocks >= 1"),
     "tau": (lambda a: 0 < a["tau"] < 1, "need 0 < tau < 1"),
 }
 
@@ -189,16 +193,13 @@ def run_clone_density_check(
     rows = []
     for xn in x_norms:
         total = total_sq = 0.0
-        done = 0
-        while done < n:
-            nb = min(20000, n - done)
+        for start in range(0, n, 20000):
+            nb = min(20000, n - start)
             v = rng.standard_normal((nb, k, d))
             r = np.exp(clones.log_density_ratio_batch(xn**2, v, p))
             total += float(np.sum(r))
             total_sq += float(np.sum(r * r))
-            done += nb
-        mean = total / n
-        se = math.sqrt(max(total_sq / n - mean**2, 0.0) / n)
+        mean, se = mean_se(total, total_sq, n)
         rows.append(ReportRow(
             "clone-density-check", f"d={d};p={p};k={k};|x|={xn};n={n}", mean, se, 1.0
         ))

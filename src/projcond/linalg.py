@@ -332,11 +332,12 @@ def triangular_statistics(
     The upper-triangular s-block is the transposed Cholesky factor of
     (W_i'W_j - ||x||^2) and the t-block that of (W_i'W_j); both identities
     follow from the Gram-Schmidt recursions, which lets the whole batch run
-    through vectorized Cholesky factorizations.
+    through vectorized Cholesky factorizations.  Both depend on W only through
+    W_i'W_j, whose law is free of B: one Haar frame serves all n_reps samples.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xsq = float(x @ x)
-    b = haar_stiefel_batch(d, p, n_reps, rng)
+    b = haar_stiefel_batch(d, p, 1, rng)[0]
     w = clone_vectors(b, x, rng.standard_normal((n_reps, k, d)))
     gram = np.einsum("nkd,nld->nkl", w, w)
     l_s = np.linalg.cholesky(gram - xsq)

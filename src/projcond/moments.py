@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, gaussian, moment_oracle, sample_z
 from .errors import InvalidDimensionError, InvalidStructureError
-from .streams import substream
+from .streams import mean_se, substream
 
 DEFAULT_EPSILON = 0.5
 DEFAULT_XI = 0.5
@@ -179,12 +179,6 @@ def _monomial_batches(
         done += nb
 
 
-def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0)
-    return mean, math.sqrt(var / n)
-
-
 def estimate_b1a(
     spec: DistributionSpec,
     d: int,
@@ -207,7 +201,7 @@ def estimate_b1a(
         vals = norms**power
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
-    return _mean_se(total, total_sq, n_blocks)
+    return mean_se(total, total_sq, n_blocks)
 
 
 def _monomial_values(dev: np.ndarray, G: MonomialSpec) -> np.ndarray:
@@ -241,7 +235,7 @@ def estimate_monomial_mean(
         vals = scale * _monomial_values(dev, G)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
-    mean, se = _mean_se(total, total_sq, n_blocks)
+    mean, se = mean_se(total, total_sq, n_blocks)
     return mean, se, G.b1b_target()
 
 
@@ -276,7 +270,7 @@ def estimate_b1c(
         vals = scale * _monomial_values(dev, G) * _monomial_values(dev, H)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
-    return _mean_se(total, total_sq, n_blocks)
+    return mean_se(total, total_sq, n_blocks)
 
 
 @dataclass
@@ -324,9 +318,7 @@ def prop5_special_cases(
         sums += stats.sum(axis=1)
         sums_sq += (stats**2).sum(axis=1)
         done += nb
-    est = []
-    for i in range(3):
-        est.append(_mean_se(float(sums[i]), float(sums_sq[i]), n))
+    est = [mean_se(float(sums[i]), float(sums_sq[i]), n) for i in range(3)]
     om = moment_oracle(spec)
     analytic = (om.m4 - 3.0, om.m3**2, (om.m4**2 - 9.0) / d)
     return Prop5Cases(case_a=est[0], case_b=est[1], case_c=est[2], analytic=analytic)
@@ -344,6 +336,26 @@ def canonical_monomials(k: int) -> list[MonomialSpec]:
         fam.append(MonomialSpec(pairs=((1, 2), (3, 4))))
         fam.append(MonomialSpec(pairs=((1, 2), (1, 2), (3, 4), (3, 4))))
     return fam
+
+
+def _canonical_beta(
+    spec: DistributionSpec, d: int, k: int, n_blocks: int, rng: np.random.Generator, xi: float
+) -> tuple[float, dict]:
+    """Largest scaled deviation |E G - target| d^xi over the canonical family
+    (monomials on at most k vertices with a defined target), with the
+    per-monomial estimates keyed by their pairs."""
+    details = {}
+    beta = 0.0
+    for mono in canonical_monomials(k):
+        if mono.max_vertex > k:
+            continue
+        est, se, target = estimate_monomial_mean(spec, d, mono, n_blocks, rng, k=k)
+        if target is None:
+            continue
+        dev = abs(est - target) * d**xi
+        details[str(mono.pairs)] = {"estimate": est, "se": se, "target": target, "scaled_dev": dev}
+        beta = max(beta, dev)
+    return beta, details
 
 
 MAX_REFERENCE_K = 4
@@ -381,17 +393,7 @@ def gaussian_reference(
         raise InvalidDimensionError(f"need k <= {MAX_REFERENCE_K}")
     spec = gaussian(d)
     alpha_hat, alpha_se = estimate_b1a(spec, d, k, epsilon, n, rng)
-    details = {}
-    beta = 0.0
-    for mono in canonical_monomials(k):
-        if mono.max_vertex > k:
-            continue
-        est, se, target = estimate_monomial_mean(spec, d, mono, n, rng, k=k)
-        if target is None:
-            continue
-        dev = abs(est - target) * d**xi
-        details[str(mono.pairs)] = {"estimate": est, "se": se, "target": target, "scaled_dev": dev}
-        beta = max(beta, dev)
+    beta, details = _canonical_beta(spec, d, k, n, rng, xi)
     return GaussianReference(
         k=k, d=d, epsilon=epsilon, xi=xi,
         alpha_star=alpha_hat, alpha_se=alpha_se,
@@ -415,14 +417,7 @@ def estimated_constants(
     max(1, marginal density bound).
     """
     alpha_hat, _ = estimate_b1a(spec, d, k, epsilon, n_blocks, rng)
-    beta = 0.0
-    for mono in canonical_monomials(k):
-        if mono.max_vertex > k:
-            continue
-        est, _, target = estimate_monomial_mean(spec, d, mono, n_blocks, rng, k=k)
-        if target is None:
-            continue
-        beta = max(beta, abs(est - target) * d**xi)
+    beta, _ = _canonical_beta(spec, d, k, n_blocks, rng, xi)
     density_sup = moment_oracle(spec).density_sup
     return MomentConditionConstants(
         epsilon=epsilon,

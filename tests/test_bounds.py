@@ -135,6 +135,8 @@ def test_scan_grid_validation():
         bounds.asymptotic_scan(CONS, lambda ld: 1, [1e4], part="A")
     with pytest.raises(InvalidDimensionError):
         bounds.asymptotic_scan(CONS, lambda ld: 1, [1e4, 1e3], part="A")
+    with pytest.raises(InvalidDimensionError, match="part must be"):
+        bounds.asymptotic_scan(CONS, lambda ld: 1, [1e3, 1e4], part="C")
 
 
 def test_gamma_constant_parts():

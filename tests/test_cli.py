@@ -85,6 +85,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "bartlett-check", "d": 12, "p": 1, "k": 2, "n_frame": 3}, "'n_frame'"),
     ({"experiments": [{"experiment": "asymptotic-scan", "seed": 3}]}, "'seed'"),
     ({"experiments": [{"experiment": "asymptotic-scan"}], "tau": 0.5}, "'tau'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "n_frames": 0}, "'n_frames'"),
+    ({"experiment": "conditional-linearity", "n_frames": 0}, "'n_frames'"),
+    ({"experiment": "moment-conditions", "n_blocks": 0}, "'n_blocks'"),
+    ({"experiment": "moment-conditions", "d_list": []}, "'d_list'"),
+    ({"experiment": "expansion-order", "ks": []}, "'ks'"),
+    ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "x_norms": []},
+     "'x_norms'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -92,6 +99,14 @@ def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and field in err
     assert "Traceback" not in err
+
+
+def test_scan_unknown_part_fails_its_row(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"experiment": "asymptotic-scan", "part": "C"})
+    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (tmp_path / "r.csv").read_text().strip().splitlines()
+    assert lines[1:] == ["asymptotic-scan,p=2;part=C;monotone-decreasing,0,0,1,0,0"]
 
 
 def test_unknown_experiment_exit_code(tmp_path):

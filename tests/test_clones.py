@@ -10,6 +10,7 @@ from projcond.errors import (
     InvalidChainError,
     InvalidDimensionError,
 )
+from projcond.experiments import run_normalzero_check
 
 
 def test_clone_projection_identities(rng_factory):
@@ -154,6 +155,42 @@ def test_chain_identities(rng_factory):
     assert abs(est) < 4 * se
     est, se = clones.gaussian_chain_identity(x, 60, 1, 2, "alternating", 50_000, rng)
     assert abs(est) < 4 * se
+
+
+def test_chain_gate_catches_partial_projection(rng_factory, monkeypatch):
+    # clones that project out only p - 1 columns of the frame lose their
+    # shared projection x; at p = 1 they are plain Gaussians, so the (0, 2)
+    # chain E W_1'W_2 reads 0 instead of ||x||^2
+    def failed_rows(i):
+        rows = run_normalzero_check(rng_factory("chain-power", i), n=50_000)
+        return [r.params for r in rows if not r.passed]
+
+    assert failed_rows(1) == []
+    full = linalg.clone_vectors
+    monkeypatch.setattr(clones, "clone_vectors", lambda b, x, v: full(b[..., :-1], x[:-1], v))
+    assert all(failed_rows(i) for i in (1, 2, 3))
+
+
+def test_one_frame_per_call(rng_factory, monkeypatch):
+    # the identities see W only through W_i'W_j, whose law is free of B, so
+    # one Haar frame serves every batch of a call
+    sizes = []
+
+    def counting(module):
+        draw = module.haar_stiefel_batch
+
+        def wrapped(d, p, n, rng):
+            sizes.append(n)
+            return draw(d, p, n, rng)
+        return wrapped
+
+    monkeypatch.setattr(clones, "haar_stiefel_batch", counting(clones))
+    monkeypatch.setattr(linalg, "haar_stiefel_batch", counting(linalg))
+    rng = rng_factory("one-frame")
+    n = 2 * clones._CHAIN_BATCH + 1
+    clones.gaussian_chain_identity(np.array([0.5]), 20, 1, 2, (0, 2), n, rng)
+    linalg.triangular_statistics(12, 2, 2, np.array([1.0, 0.0]), 1000, rng)
+    assert sizes == [1, 1]
 
 
 def test_chain_validation(rng_factory):
