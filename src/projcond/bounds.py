@@ -197,14 +197,12 @@ def asymptotic_scan(
     p_rule: Callable[[float], int],
     log_d_grid,
     tau: float = 0.5,
-    t: float = 1.0,
-    kappa: float = 1.0,
-    g: float = 1.0,
     part: str = PART_B,
 ) -> list[ScanRow]:
     """Formula-level scan of the bounds along a grid of log d values.
 
-    p_rule maps log d to the projection dimension p_d.  The growth condition
+    The threshold t and the constants kappa and g are all 1.  p_rule maps
+    log d to the projection dimension p_d.  The growth condition
     p_d/(xi_eff log d) -> 0 is checked as a trend: the ratio must be strictly
     decreasing along the grid and its final value at most half the initial
     one.  Both bounds are evaluated in the log domain, so the grid may reach
@@ -227,9 +225,7 @@ def asymptotic_scan(
         )
     rows = []
     for ld, p in zip(grid, ps):
-        _, gamma, log_dev, log_nu = _log_theorem_parts(
-            ld, p, t, tau, constants, kappa, g, part
-        )
+        _, _, log_dev, log_nu = _log_theorem_parts(ld, p, 1.0, tau, constants, 1.0, 1.0, part)
         rows.append(
             ScanRow(
                 log_d=ld,

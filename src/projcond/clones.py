@@ -137,16 +137,6 @@ def log_density_ratio_gram(
     return DensityRatioValue(log_ratio=val, in_domain=val > -np.inf)
 
 
-def clone_log_density_ratio(x, vectors, p: int) -> DensityRatioValue:
-    """Density ratio of k observed d-vectors sharing projection x."""
-    w = np.atleast_2d(np.asarray(vectors, dtype=float))
-    d = w.shape[1]
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gram = w @ w.T / d
-    gram = np.triu(gram) + np.triu(gram, 1).T
-    return log_density_ratio_gram(float(x @ x), gram, d, p)
-
-
 def log_density_ratio_batch(
     x_norm_sq: float, vectors: np.ndarray, p: int
 ) -> np.ndarray:

@@ -35,7 +35,7 @@ from .distributions import (
     sample_z,
 )
 from .errors import DegenerateDensityError, InvalidDimensionError
-from .linalg import as_stiefel, clone_vectors
+from .linalg import as_stiefel, clone_vectors, spectral_norm
 from .bounds import PART_A, balanced_tuning
 
 _JACKKNIFE_BLOCKS = 20
@@ -129,7 +129,7 @@ def _ratio_conditional(
             p_d_p = p_d_p - (p_d_p @ b) @ b.T
             delta = np.outer(bx, m_perp) + np.outer(m_perp, bx) + p_d_p
             delta = 0.5 * (delta + delta.T)
-            delta_norm = float(np.max(np.abs(np.linalg.eigvalsh(delta))))
+            delta_norm = spectral_norm(delta)
         return h, mu, delta_norm
 
     full_mask = np.ones(nblocks, dtype=bool)
@@ -167,29 +167,6 @@ def _ratio_conditional(
         delta_se=delta_se if second_moment else None,
         n_inner=n,
     )
-
-
-def estimate_h(spec: DistributionSpec, B, x, n: int, rng: np.random.Generator):
-    """Mean of f(W)/phi(W) over W = Bx + (I-BB')V; returns (h_hat, se)."""
-    if n < 1000:
-        raise InvalidDimensionError("need n >= 10^3")
-    est = _ratio_conditional(spec, B, x, n, rng, second_moment=False)
-    return est.h_hat, est.h_se
-
-
-def _require_nondegenerate(est: ConditionalEstimates):
-    if not (est.h_hat > 10.0 * est.h_se) or est.h_hat <= 0.0:
-        raise DegenerateDensityError(
-            f"h estimate {est.h_hat:.3e} within noise (se {est.h_se:.3e}); "
-            "conditional moments are unidentified at this x"
-        )
-
-
-def estimate_mu(spec: DistributionSpec, B, x, n: int, rng: np.random.Generator):
-    """Ratio estimate of E[Z | B'Z = x]; returns (mu_hat, componentwise se)."""
-    est = _ratio_conditional(spec, B, x, n, rng, second_moment=False)
-    _require_nondegenerate(est)
-    return est.mu_hat, est.mu_se
 
 
 def conditional_estimates(
@@ -381,7 +358,7 @@ def kernel_delta_norm(pool: ForwardPool, x):
     gram = (xw.T @ xw).astype(np.float64)
     delta = gram / sw - np.eye(d) - b @ shift @ b.T
     if d <= 256:
-        return float(np.max(np.abs(np.linalg.eigvalsh(delta))))
+        return spectral_norm(delta)
     # a fixed start vector keeps the result reproducible for a fixed pool
     # and x; it is drawn at random once, since a structured one (such as
     # all ones) can be orthogonal to the top eigenvector

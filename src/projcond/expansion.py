@@ -36,16 +36,6 @@ def default_xi(k: int) -> float:
     return 2.0 * k + 1.0
 
 
-def c1_constant(k: int) -> float:
-    """Coefficient bound constant for the dimension-correction polynomial.
-
-    With gamma(k) = max{4k(2+3k)/3, (20/3)k^2}, each coefficient is bounded
-    by p M^(2(k+2)) (e^gamma - 1) / d.
-    """
-    gamma = max(4.0 * k * (2.0 + 3.0 * k) / 3.0, (20.0 / 3.0) * k**2)
-    return math.expm1(gamma)
-
-
 def taylor_p1(x_norm_sq: float, k: int) -> np.ndarray:
     """Coefficients of p1(y) = 1 + sum_j (-||x||^2/2)^j y^j / j!."""
     if k < 1:
@@ -272,11 +262,6 @@ class PolynomialPsi:
     def degree(self) -> int:
         return max((len(key) for key in self.coeffs), default=0)
 
-    def coefficient_bound_shape(self, c_psi: float = 1.0) -> float:
-        """p^k M^(2(k+2)) C_psi, the shape of the coefficient bound."""
-        m = max(1.0, math.sqrt(self.x_norm_sq))
-        return self.p**self.k * m ** (2 * (self.k + 2)) * c_psi
-
 
 def psi_poly(x, k: int, p: int, d: int) -> PolynomialPsi:
     """Explicit coefficient map of the symmetrized approximant."""
@@ -314,17 +299,16 @@ def psi_eval(x, S, d: int, p: int) -> float:
     return float(np.mean(vals))
 
 
-def remainder_diagnostic(x, S, d: int, p: int, xi: float | None = None):
+def remainder_diagnostic(x, S, d: int, p: int):
     """Exact remainder (density ratio minus approximant) and its bound shape.
 
-    Requires ||S - I|| < 1/(p xi(k)); the returned shape is
-    p^(k+1) M^(2(k+2)) e^(k M^2 / 2) ||S - I||^(k+1) (unit constant, the
-    caller supplies its own multiplicative constant).
+    Requires ||S - I|| < 1/(p xi(k)) with xi(k) = default_xi(k); the returned
+    shape is p^(k+1) M^(2(k+2)) e^(k M^2 / 2) ||S - I||^(k+1) (unit constant,
+    the caller supplies its own multiplicative constant).
     """
     s = np.asarray(S.entries if hasattr(S, "entries") else S, dtype=float)
     k = s.shape[0]
-    if xi is None:
-        xi = default_xi(k)
+    xi = default_xi(k)
     dev = spectral_norm(s - np.eye(k))
     if dev >= 1.0 / (p * xi):
         raise OutsideExpansionRegionError(

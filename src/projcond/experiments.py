@@ -93,8 +93,18 @@ def _json_list(v) -> list:
     return v
 
 
+def _integer(v) -> int:
+    """int(v), refusing a boolean or a number with a fractional part, which
+    int() would read as 1, 0 or a truncated value."""
+    if isinstance(v, bool):
+        raise TypeError("expected an integer, got a boolean")
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"expected an integer, got {v}")
+    return int(v)
+
+
 def int_list(v) -> tuple[int, ...]:
-    return tuple(int(x) for x in _json_list(v))
+    return tuple(_integer(x) for x in _json_list(v))
 
 
 def float_list(v) -> tuple[float, ...]:
@@ -103,11 +113,11 @@ def float_list(v) -> tuple[float, ...]:
 
 def int_by_d(v) -> dict[int, int]:
     """An object keyed by dimension, such as {"512": 120000}."""
-    return {int(key): int(x) for key, x in v.items()}
+    return {_integer(key): _integer(x) for key, x in v.items()}
 
 
 def float_by_d(v) -> dict[int, float]:
-    return {int(key): float(x) for key, x in v.items()}
+    return {_integer(key): float(x) for key, x in v.items()}
 
 
 def optional_float(v) -> float | None:
@@ -138,13 +148,16 @@ RANGES = {
     "n_frames": (lambda a: a["n_frames"] >= 1, "need n_frames >= 1"),
     "n_blocks": (lambda a: a["n_blocks"] >= 1, "need n_blocks >= 1"),
     "tau": (lambda a: 0 < a["tau"] < 1, "need 0 < tau < 1"),
+    "eps_grid": (lambda a: len(set(a["eps_grid"])) >= 2 and all(e > 0 for e in a["eps_grid"]),
+                 "need at least 2 distinct values, all > 0"),
 }
 
 
 def read_field(name: str, cast, value):
-    """cast(value), with any failure reported as a ConfigError naming the field."""
+    """cast(value), with any failure reported as a ConfigError naming the
+    field; the cast int is read as _integer."""
     try:
-        return cast(value)
+        return (_integer if cast is int else cast)(value)
     except CAST_ERRORS as exc:
         raise ConfigError(name, f"bad value ({type(exc).__name__}: {exc})") from None
 
@@ -210,9 +223,7 @@ def run_bartlett_check(
     rng: np.random.Generator, d: int, p: int, k: int, n: int = 100_000,
     level: float = 0.01, corr_tol: float = 0.02, n_frames: int = 100,
 ) -> list[ReportRow]:
-    x = np.zeros(p)
-    x[0] = 1.0
-    rep = linalg.bartlett_distribution_check(d, p, k, n, rng, x=x)
+    rep = linalg.bartlett_distribution_check(d, p, k, n, rng)
     rows = [
         bool_row("bartlett-check",
                  f"d={d};p={p};k={k};n={n};min_pvalue={rep.min_pvalue:.5f};level={level}",

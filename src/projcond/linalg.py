@@ -105,9 +105,7 @@ def haar_stiefel(d: int, p: int, rng: np.random.Generator) -> StiefelMatrix:
     """
     if not (1 <= p < d):
         raise InvalidDimensionError(f"need 1 <= p < d, got p={p}, d={d}")
-    g = rng.standard_normal((d, p))
-    q, _ = _qr_positive(g)
-    return StiefelMatrix(d=d, p=p, entries=q)
+    return StiefelMatrix(d=d, p=p, entries=haar_stiefel_batch(d, p, 1, rng)[0])
 
 
 def haar_stiefel_batch(d: int, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,14 +145,14 @@ def gram_matrix(vectors, d: int) -> GramMatrix:
     return GramMatrix(k=w.shape[0], d=d, entries=s)
 
 
-def stiefel_from_constraints(vectors, x, rng=None) -> StiefelMatrix:
+def stiefel_from_constraints(vectors, x) -> StiefelMatrix:
     """Construct B in V_{d,p} with B'w_j = x for all supplied vectors.
 
     Such a B exists iff ||x||^2 iota'(N'N)^{-1} iota < 1; otherwise a
     ConstraintViolatedError is raised.  The construction is
     B = N(N'N)^{-1} iota x' + C (I_p - eta xx')^{1/2} with C an orthonormal
-    basis of a p-dimensional subspace of span(N)^perp (deterministic unless
-    an rng is supplied).
+    basis of a p-dimensional subspace of span(N)^perp, taken from the QR
+    factorization of the projector I - N(N'N)^{-1}N'.
     """
     w = np.asarray(vectors, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -175,11 +173,7 @@ def stiefel_from_constraints(vectors, x, rng=None) -> StiefelMatrix:
             f"no compatible frame: ||x||^2 iota'(N'N)^-1 iota = {xsq * eta:.6f} >= 1"
         )
     # orthonormal basis of span(N)^perp, first p columns
-    if rng is None:
-        seed_mat = np.eye(d)
-    else:
-        seed_mat = rng.standard_normal((d, d))
-    resid = seed_mat - n_mat @ np.linalg.solve(gram, n_mat.T @ seed_mat)
+    resid = np.eye(d) - n_mat @ np.linalg.solve(gram, n_mat.T)
     q, r = _qr_positive(resid)
     keep = np.abs(np.diagonal(r)) > 1e-9 * max(1.0, np.abs(r).max())
     c_mat = q[:, keep][:, :p]
@@ -365,14 +359,12 @@ class BartlettReport:
         ps.append(self.ks_t11_sq[1])
         self.min_pvalue = float(min(ps))
 
-    def passes(self, level: float = 0.01, corr_tol: float = 0.02) -> bool:
-        return self.min_pvalue > level and self.max_abs_correlation < corr_tol
-
 
 def bartlett_distribution_check(
-    d: int, p: int, k: int, n_reps: int, rng: np.random.Generator, x=None
+    d: int, p: int, k: int, n_reps: int, rng: np.random.Generator
 ) -> BartlettReport:
-    """Check the joint law of the triangular coordinates of W_1..W_k.
+    """Check the joint law of the triangular coordinates of W_1..W_k at the
+    projection x = e_1.
 
     Off-diagonal s_ij are standard normal, the squared diagonals s_jj^2 are
     chi-square with d-p-j+1 degrees of freedom, all mutually independent;
@@ -382,11 +374,8 @@ def bartlett_distribution_check(
         raise InvalidDimensionError(f"need k <= d - p, got k={k}, d-p={d - p}")
     if n_reps < 1000:
         raise InvalidDimensionError("need n_reps >= 1000 for stable KS statistics")
-    if x is None:
-        x = np.zeros(p)
-        x[0] = 1.0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xsq = float(x @ x)
+    x = np.zeros(p)
+    x[0] = 1.0
 
     tri = triangular_statistics(d, p, k, x, n_reps, rng)
     s, t = tri["s"], tri["t"]
@@ -404,7 +393,7 @@ def bartlett_distribution_check(
         res = stats.kstest(s[:, j, j] ** 2, "chi2", args=(dof,))
         ks_diag_sq[j + 1] = (float(res.statistic), float(res.pvalue))
         streams.append(s[:, j, j])
-    res = stats.kstest(t[:, 0, 0] ** 2 - xsq, "chi2", args=(d - p,))
+    res = stats.kstest(t[:, 0, 0] ** 2 - 1.0, "chi2", args=(d - p,))  # ||x||^2 = 1
     ks_t11 = (float(res.statistic), float(res.pvalue))
 
     mat = np.array(streams)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, gaussian, moment_oracle, sample_z
 from .errors import InvalidDimensionError, InvalidStructureError
-from .streams import mean_se, substream
+from .streams import mean_se
 
 DEFAULT_EPSILON = 0.5
 DEFAULT_XI = 0.5
@@ -183,15 +183,14 @@ def estimate_b1a(
     spec: DistributionSpec,
     d: int,
     k: int,
-    epsilon: float = DEFAULT_EPSILON,
-    n_blocks: int = 10000,
-    rng: np.random.Generator | None = None,
+    epsilon: float,
+    n_blocks: int,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Estimate alpha: the mean of ||sqrt(d)(S_k - I_k)||^(2k+1+eps).
 
     Spectral norms are taken; each block uses k fresh vectors.
     """
-    rng = substream(0, "b1a") if rng is None else rng
     if n_blocks < 1000:
         raise InvalidDimensionError("need n_blocks >= 10^3")
     power = 2 * k + 1 + epsilon
@@ -215,8 +214,8 @@ def estimate_monomial_mean(
     spec: DistributionSpec,
     d: int,
     G: MonomialSpec,
-    n_blocks: int = 10000,
-    rng: np.random.Generator | None = None,
+    n_blocks: int,
+    rng: np.random.Generator,
     k: int | None = None,
 ):
     """Scaled monomial mean d^(g/2) E[G(S_k - I_k)] with standard error.
@@ -225,7 +224,6 @@ def estimate_monomial_mean(
     value (1 for purely quadratic above-diagonal monomials, 0 when a linear
     factor is present, None otherwise).
     """
-    rng = substream(0, "b1b") if rng is None else rng
     k = G.max_vertex if k is None else k
     if G.degree > 2 * k:
         raise InvalidStructureError(f"monomial degree {G.degree} exceeds 2k = {2 * k}")
@@ -244,8 +242,8 @@ def estimate_b1c(
     d: int,
     G: MonomialSpec,
     H: MonomialSpec,
-    n_blocks: int = 10000,
-    rng: np.random.Generator | None = None,
+    n_blocks: int,
+    rng: np.random.Generator,
 ):
     """Scaled cross moment d^g E[G H] for a cycle G and a covering H.
 
@@ -253,7 +251,6 @@ def estimate_b1c(
     2 <= h < g and touch every vertex of the cycle (otherwise the cross
     moment does not vanish and the pattern is rejected).
     """
-    rng = substream(0, "b1c") if rng is None else rng
     if G.classification != "cycle" or G.vertices != frozenset(range(1, G.degree + 1)):
         raise InvalidStructureError("G must be the closed cycle on vertices 1..g")
     g, h = G.degree, H.degree
@@ -380,10 +377,9 @@ def gaussian_reference(
     d: int,
     n: int,
     rng: np.random.Generator,
-    epsilon: float = DEFAULT_EPSILON,
-    xi: float = DEFAULT_XI,
 ) -> GaussianReference:
-    """Estimate (alpha*, beta*) for the standard Gaussian at (k, d).
+    """Estimate (alpha*, beta*) for the standard Gaussian at (k, d), with
+    epsilon = DEFAULT_EPSILON and xi = DEFAULT_XI.
 
     beta* is reported as the largest |deviation| * d^xi over the canonical
     monomial family with a defined target; it is an estimate for that family
@@ -392,10 +388,10 @@ def gaussian_reference(
     if k > MAX_REFERENCE_K:
         raise InvalidDimensionError(f"need k <= {MAX_REFERENCE_K}")
     spec = gaussian(d)
-    alpha_hat, alpha_se = estimate_b1a(spec, d, k, epsilon, n, rng)
-    beta, details = _canonical_beta(spec, d, k, n, rng, xi)
+    alpha_hat, alpha_se = estimate_b1a(spec, d, k, DEFAULT_EPSILON, n, rng)
+    beta, details = _canonical_beta(spec, d, k, n, rng, DEFAULT_XI)
     return GaussianReference(
-        k=k, d=d, epsilon=epsilon, xi=xi,
+        k=k, d=d, epsilon=DEFAULT_EPSILON, xi=DEFAULT_XI,
         alpha_star=alpha_hat, alpha_se=alpha_se,
         beta_star=beta, beta_details=details,
     )
@@ -407,22 +403,21 @@ def estimated_constants(
     k: int,
     n_blocks: int,
     rng: np.random.Generator,
-    epsilon: float = DEFAULT_EPSILON,
-    xi: float = DEFAULT_XI,
 ) -> MomentConditionConstants:
-    """Bundle estimated (alpha, beta) with the density bound into constants.
+    """Bundle estimated (alpha, beta) with the density bound into constants,
+    with epsilon = DEFAULT_EPSILON and xi = DEFAULT_XI.
 
     beta is the max scaled deviation over the canonical family (an estimate
     for the tested monomials only); D defaults to the heuristic
     max(1, marginal density bound).
     """
-    alpha_hat, _ = estimate_b1a(spec, d, k, epsilon, n_blocks, rng)
-    beta, _ = _canonical_beta(spec, d, k, n_blocks, rng, xi)
+    alpha_hat, _ = estimate_b1a(spec, d, k, DEFAULT_EPSILON, n_blocks, rng)
+    beta, _ = _canonical_beta(spec, d, k, n_blocks, rng, DEFAULT_XI)
     density_sup = moment_oracle(spec).density_sup
     return MomentConditionConstants(
-        epsilon=epsilon,
+        epsilon=DEFAULT_EPSILON,
         alpha=max(1.0, alpha_hat),
         beta=max(beta, 1e-12),
-        xi=xi,
+        xi=DEFAULT_XI,
         D=max(1.0, density_sup),
     )

@@ -14,7 +14,9 @@ from projcond.experiments import (
     EXPERIMENTS,
     parse_config,
     run_bartlett_check,
+    run_conditional_linearity,
     run_experiment,
+    run_prop5_cases,
 )
 from projcond.errors import ConfigError, ConstraintViolatedError
 
@@ -92,6 +94,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "expansion-order", "ks": []}, "'ks'"),
     ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "x_norms": []},
      "'x_norms'"),
+    ({"experiment": "expansion-order", "eps_grid": [-0.02, 0.01]}, "'eps_grid'"),
+    ({"experiment": "expansion-order", "eps_grid": [0.01]}, "'eps_grid'"),
+    ({"experiment": "expansion-order", "eps_grid": [0.01, 0.01]}, "'eps_grid'"),
+    ({"experiment": "prop5-cases", "spec": {"family": "gaussian"}, "d": 10.5}, "'d'"),
+    ({"experiment": "bartlett-check", "d": 12, "p": 1, "k": 2, "n_frames": True},
+     "'n_frames'"),
+    ({"experiment": "moment-conditions", "d_list": [100, 400.5]}, "'d_list'"),
+    ({"experiment": "moment-conditions", "d_list": [100, True]}, "'d_list'"),
+    ({"experiment": "conditional-linearity", "n_inner": {"32": 2000.5}}, "'n_inner'"),
+    ({"experiment": "conditional-linearity", "n_inner": {"32": False}}, "'n_inner'"),
+    ({"experiment": "conditional-linearity", "n_inner": {"32.5": 2000}}, "'n_inner'"),
+    ({"experiment": "asymptotic-scan", "seed": 3.5}, "'seed'"),
+    ({"experiment": "asymptotic-scan", "seed": True}, "'seed'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -99,6 +114,19 @@ def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and field in err
     assert "Traceback" not in err
+
+
+def test_integer_fields_refuse_booleans_and_fractions():
+    # JSON object keys are strings, so only a config built in Python can
+    # give n_inner a boolean or fractional key
+    for bad in ({True: 5000}, {32.5: 5000}):
+        with pytest.raises(ConfigError, match="'n_inner'"):
+            parse_config(run_conditional_linearity, {"n_inner": bad})
+    # whole numbers written as floats or strings read as before
+    args = parse_config(run_prop5_cases, {"spec": {"family": "gaussian"}, "d": 100.0, "n": 1e5})
+    assert (args["d"], args["n"]) == (100, 100_000) and type(args["n"]) is int
+    args = parse_config(run_conditional_linearity, {"d_list": [32.0, "64"], "n_inner": {"32": 2e4}})
+    assert args["d_list"] == (32, 64) and args["n_inner"] == {32: 20_000}
 
 
 def test_scan_unknown_part_fails_its_row(tmp_path, capsys):

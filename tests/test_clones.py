@@ -66,12 +66,12 @@ def test_ratio_trivial_and_domain():
     # ||x||^2 iota'S^{-1} iota >= d  ->  density zero
     out = clones.log_density_ratio_gram(31.0, np.eye(1), 30, 1)
     assert not out.in_domain and out.log_ratio == -math.inf
-    sing = clones.clone_log_density_ratio(
-        np.array([0.1]), np.vstack([np.eye(6)[0], np.eye(6)[0]]), 1
-    )
+    # a repeated vector makes S_k singular
+    w = np.vstack([np.eye(6)[0], np.eye(6)[0]])
+    sing = clones.log_density_ratio_gram(0.01, linalg.gram_matrix(w, 6).entries, 6, 1)
     assert not sing.in_domain
-    with pytest.raises(InvalidDimensionError):
-        clones.clone_log_density_ratio(np.array([0.0]), np.eye(4), 1)
+    with pytest.raises(InvalidDimensionError):  # k = 4 > d - p = 3
+        clones.log_density_ratio_gram(0.0, np.eye(4), 4, 1)
 
 
 def test_ratio_gram_matches_batch(rng_factory):
@@ -94,10 +94,11 @@ def test_ratio_gram_matches_batch(rng_factory):
 def test_ratio_permutation_invariance(rng_factory):
     rng = rng_factory("ratio-perm")
     w = rng.standard_normal((3, 15))
-    x = np.array([0.4])
-    base = clones.clone_log_density_ratio(x, w, 1).log_ratio
+    xsq = 0.16
+    base = clones.log_density_ratio_gram(xsq, linalg.gram_matrix(w, 15).entries, 15, 1).log_ratio
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-        val = clones.clone_log_density_ratio(x, w[list(perm)], 1).log_ratio
+        gram = linalg.gram_matrix(w[list(perm)], 15).entries
+        val = clones.log_density_ratio_gram(xsq, gram, 15, 1).log_ratio
         assert abs(val - base) < 1e-12
 
 

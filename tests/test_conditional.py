@@ -6,7 +6,6 @@ import pytest
 
 from projcond import bounds, conditional as cond, distributions as dist, linalg
 from projcond.acceptance import _uniform_fiber_quadrature
-from projcond.errors import DegenerateDensityError
 
 B2 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 
@@ -103,8 +102,8 @@ def test_h_normalization_over_projections(rng_factory):
         vals = []
         for _ in range(200):
             x = rng.standard_normal(p)
-            h, _ = cond.estimate_h(spec, B, x, 2000, rng)
-            vals.append(h)
+            est = cond._ratio_conditional(spec, B, x, 2000, rng, second_moment=False)
+            vals.append(est.h_hat)
         vals = np.array(vals)
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.0) < 4 * se, spec.label
@@ -117,8 +116,8 @@ def test_axis_aligned_conditional_linearity(rng_factory):
     B = linalg.StiefelMatrix(d=d, p=p, entries=np.eye(d)[:, :p])
     spec = dist.iid_marginal("exponential", d)
     x = np.array([0.5, -0.4])
-    mu, mu_se = cond.estimate_mu(spec, B, x, 100_000, rng)
-    assert np.linalg.norm(mu - B.entries @ x) <= 4 * np.linalg.norm(mu_se) + 1e-12
+    est = cond._ratio_conditional(spec, B, x, 100_000, rng, second_moment=False)
+    assert np.linalg.norm(est.mu_hat - B.entries @ x) <= 4 * np.linalg.norm(est.mu_se) + 1e-12
 
 
 def test_norm_identity_consistency(rng_factory):
@@ -127,27 +126,10 @@ def test_norm_identity_consistency(rng_factory):
     spec = dist.iid_marginal("uniform", 4)
     B = linalg.haar_stiefel(4, 1, rng)
     x = np.array([0.6])
-    mu, _ = cond.estimate_mu(spec, B, x, 100_000, rng)
+    mu = cond._ratio_conditional(spec, B, x, 100_000, rng, second_moment=False).mu_hat
     lhs = abs(np.sum((mu - B.entries @ x) ** 2) - (np.sum(mu**2) - float(x @ x)))
     rhs = 2 * np.linalg.norm(x) * np.linalg.norm(B.entries.T @ mu - x)
     assert lhs <= rhs + 1e-10
-
-
-def test_degenerate_h_raises(rng_factory):
-    # bounded support never hit at large d: the ratio weight vanishes
-    rng = rng_factory("degenerate")
-    spec = dist.iid_marginal("uniform", 200)
-    B = linalg.haar_stiefel(200, 1, rng)
-    with pytest.raises(DegenerateDensityError):
-        cond.estimate_mu(spec, B, np.array([0.2]), 2000, rng)
-
-
-def test_estimate_h_requires_minimum_sample(rng_factory):
-    from projcond.errors import InvalidDimensionError
-
-    with pytest.raises(InvalidDimensionError):
-        cond.estimate_h(dist.gaussian(4), linalg.haar_stiefel(4, 1, rng_factory("x")),
-                        np.array([0.0]), 10, rng_factory("y"))
 
 
 def test_kernel_engine_agrees_with_ratio_engine(rng_factory):
@@ -156,13 +138,11 @@ def test_kernel_engine_agrees_with_ratio_engine(rng_factory):
     spec = dist.iid_marginal("uniform", d)
     B = linalg.haar_stiefel(d, 1, rng)
     x = np.array([0.4])
-    mu_r, mu_se = cond.estimate_mu(spec, B, x, 200_000, rng)
+    est = cond._ratio_conditional(spec, B, x, 200_000, rng, second_moment=False)
     pool = cond.build_pool(spec, B, 200_000, rng, bandwidth=0.05)
     mu_k, _, noise = cond.kernel_mu(pool, x)
-    assert np.max(np.abs(mu_r - mu_k)) < 4 * (np.max(mu_se) + noise) + 0.02
-    h_r, h_se = cond.estimate_h(spec, B, x, 200_000, rng)
-    h_k = cond.kernel_h(pool, x)
-    assert abs(h_r - h_k) < 0.05
+    assert np.max(np.abs(est.mu_hat - mu_k)) < 4 * (np.max(est.mu_se) + noise) + 0.02
+    assert abs(est.h_hat - cond.kernel_h(pool, x)) < 0.05
 
 
 def test_deviation_probability_gaussian_zero(rng_factory):

@@ -52,11 +52,13 @@ def test_taylor_r1_threshold():
 
 
 def test_taylor_r1_coefficient_bound():
-    # every coefficient is within p M^(2(k+2)) c1(k) / d of zero
+    # every coefficient is within p M^(2(k+2)) c1(k) / d of zero, where
+    # c1(k) = e^gamma(k) - 1 with gamma(k) = max{4k(2+3k)/3, (20/3)k^2}
     for (d, p, k, xsq) in ((1000, 1, 2, 1.0), (5000, 2, 3, 0.49), (400, 1, 1, 0.25)):
         r1 = expansion.taylor_r1(d, p, k, xsq)
         m = max(1.0, math.sqrt(xsq))
-        cap = p * m ** (2 * (k + 2)) / d * expansion.c1_constant(k)
+        c1 = math.expm1(max(4.0 * k * (2.0 + 3.0 * k) / 3.0, (20.0 / 3.0) * k**2))
+        cap = p * m ** (2 * (k + 2)) / d * c1
         assert np.all(np.abs(r1) <= cap)
 
 
@@ -166,15 +168,6 @@ def test_det_expansion_fidelity(rng_factory):
                 exact = float(np.linalg.det(s)) ** (-p / 2)
                 approx = expansion.poly_eval(q2, s - np.eye(k))
                 assert abs(exact - approx) <= DET_FIDELITY_D2 * p ** (k + 1) * dev ** (k + 1)
-
-
-def test_coefficient_bound_shape_reported():
-    psi = expansion.psi_poly(np.array([0.8]), 2, 1, 2000)
-    shape = psi.coefficient_bound_shape()
-    assert shape > 0.0
-    # reported only: actual coefficients stay within a small multiple here
-    worst = max(abs(v) for v in psi.coeffs.values())
-    assert worst < 100 * shape
 
 
 def test_expansion_order_gate_catches_truncated_expansion(monkeypatch):
