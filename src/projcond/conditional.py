@@ -211,6 +211,9 @@ def build_pool(
     if n_pool < 1:
         raise InvalidDimensionError("need n_pool >= 1")
     B = as_stiefel(B)
+    # the build holds one float32 pool plus one float64 chunk at a time:
+    # each chunk is freed before the next draw, and the sort moves rows
+    # within the pool
     z = np.empty((n_pool, B.d), dtype=np.float32)
     proj = np.empty((n_pool, B.p))
     done = 0
@@ -220,17 +223,45 @@ def build_pool(
         z[done: done + nb] = block
         proj[done: done + nb] = block @ B.entries
         done += nb
-    # free the last float64 chunk before the sorted copy is made
-    del block
+        del block
     if B.p == 1:
-        # sorted by projection: every kernel window is a contiguous slice
+        # sorted by projection: every kernel window is a contiguous slice;
+        # two half-chunk row temporaries stay within the freed chunk
         order = np.argsort(proj[:, 0], kind="stable")
-        z = np.ascontiguousarray(z[order])
+        _take_rows_in_place(z, order, _POOL_CHUNK // 2)
         proj = proj[order]
     if bandwidth is None:
         # projections of a standardized vector have unit variance
         bandwidth = 1.06 * n_pool ** (-1.0 / (B.p + 4))
     return ForwardPool(b=B.entries, z=z, proj=proj, bandwidth=float(bandwidth))
+
+
+def _take_rows_in_place(z: np.ndarray, order: np.ndarray, block: int) -> None:
+    """Reorder the rows of z in place so that z ends bitwise equal to
+    z[order], with row temporaries of at most ``block`` rows each.
+
+    The destination rows [a, a + block) are filled in turn: the rows they
+    want are gathered from the slots where they now sit (all at a or
+    beyond), and the rows the block displaces move into the slots that
+    gather freed.  ``slot`` maps an original row to its current slot and
+    ``held`` maps a slot to the original row in it.
+    """
+    n = z.shape[0]
+    slot = np.arange(n)
+    held = np.arange(n)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        src = slot[order[a:b]]
+        wanted = z[src]
+        beyond = src >= b
+        freed = src[beyond]
+        stays = np.zeros(b - a, dtype=bool)
+        stays[src[~beyond] - a] = True
+        displaced = a + np.flatnonzero(~stays)
+        z[freed] = z[displaced]
+        held[freed] = held[displaced]
+        slot[held[freed]] = freed
+        z[a:b] = wanted
 
 
 def _bandwidth_at(pool: ForwardPool, x: np.ndarray) -> float:

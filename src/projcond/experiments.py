@@ -103,12 +103,19 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _real(v) -> float:
+    """float(v), refusing a boolean, which float() would read as 1.0 or 0.0."""
+    if isinstance(v, bool):
+        raise TypeError("expected a number, got a boolean")
+    return float(v)
+
+
 def int_list(v) -> tuple[int, ...]:
     return tuple(_integer(x) for x in _json_list(v))
 
 
 def float_list(v) -> tuple[float, ...]:
-    return tuple(float(x) for x in _json_list(v))
+    return tuple(_real(x) for x in _json_list(v))
 
 
 def int_by_d(v) -> dict[int, int]:
@@ -117,16 +124,18 @@ def int_by_d(v) -> dict[int, int]:
 
 
 def float_by_d(v) -> dict[int, float]:
-    return {_integer(key): float(x) for key, x in v.items()}
+    return {_integer(key): _real(x) for key, x in v.items()}
 
 
 def optional_float(v) -> float | None:
-    return None if v is None else float(v)
+    return None if v is None else _real(v)
 
 
 def spec_object(v) -> dict:
-    """A distribution-spec object, checked with a stand-in d; the runner
-    fills in the experiment's d."""
+    """A distribution-spec object without a d, checked with a stand-in d;
+    the runner fills in the experiment's d."""
+    if "d" in v:
+        raise ValueError("give d beside spec, not inside it")
     distributions.DistributionSpec.from_json({"d": 1, **v})
     return v
 
@@ -155,9 +164,9 @@ RANGES = {
 
 def read_field(name: str, cast, value):
     """cast(value), with any failure reported as a ConfigError naming the
-    field; the cast int is read as _integer."""
+    field; the casts int and float are read as _integer and _real."""
     try:
-        return (_integer if cast is int else cast)(value)
+        return {int: _integer, float: _real}.get(cast, cast)(value)
     except CAST_ERRORS as exc:
         raise ConfigError(name, f"bad value ({type(exc).__name__}: {exc})") from None
 
@@ -305,7 +314,7 @@ def run_moment_conditions(
 def run_prop5_cases(
     rng: np.random.Generator, spec: spec_object, d: int = 100, n: int = 100_000,
 ) -> list[ReportRow]:
-    law = distributions.DistributionSpec.from_json({"d": d, **spec})
+    law = distributions.DistributionSpec.from_json(dict(spec, d=d))
     res = moments.prop5_special_cases(law, d, n, rng)
     rows = []
     for name, (est, se), target in zip(
@@ -364,7 +373,7 @@ def run_g_membership(
     tau: float = 0.5, n_x: int = 100, n_inner: int = 50_000, g: float = 1.0,
     D: float = 1.0, tau1: optional_float = None,
 ) -> list[ReportRow]:
-    law = distributions.DistributionSpec.from_json({"d": d, **spec})
+    law = distributions.DistributionSpec.from_json(dict(spec, d=d))
     gamma = bounds.gamma_constant(g, D, bounds.PART_A)
     members = 0
     rows = []

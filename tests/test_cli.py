@@ -17,6 +17,7 @@ from projcond.experiments import (
     run_conditional_linearity,
     run_experiment,
     run_prop5_cases,
+    run_theorem_bound,
 )
 from projcond.errors import ConfigError, ConstraintViolatedError
 
@@ -107,6 +108,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "conditional-linearity", "n_inner": {"32.5": 2000}}, "'n_inner'"),
     ({"experiment": "asymptotic-scan", "seed": 3.5}, "'seed'"),
     ({"experiment": "asymptotic-scan", "seed": True}, "'seed'"),
+    ({"experiment": "prop5-cases", "d": 100, "n": 10_000,
+      "spec": {"family": "iid-marginal", "marginal": "uniform", "d": 10}}, "'spec'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian", "d": 8}}, "'spec'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5, "t": True}, "'t'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5, "kappa": False}, "'kappa'"),
+    ({"experiment": "theorem-bound", "d": True, "p": 1, "tau": 0.5}, "'d'"),
+    ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1, "x_norms": [0.0, True]},
+     "'x_norms'"),
+    ({"experiment": "conditional-linearity", "bandwidths": {"32": True}}, "'bandwidths'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": False}, "'tau1'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -127,6 +138,16 @@ def test_integer_fields_refuse_booleans_and_fractions():
     assert (args["d"], args["n"]) == (100, 100_000) and type(args["n"]) is int
     args = parse_config(run_conditional_linearity, {"d_list": [32.0, "64"], "n_inner": {"32": 2e4}})
     assert args["d_list"] == (32, 64) and args["n_inner"] == {32: 20_000}
+
+
+def test_float_fields_read_numbers_as_before():
+    # booleans are refused (see test_malformed_config_exit_code); integers
+    # and numeric strings still read as floats
+    args = parse_config(run_theorem_bound, {"d": 1e6, "p": 2, "tau": "0.5", "t": 1, "kappa": 2})
+    assert (args["d"], args["tau"], args["t"], args["kappa"]) == (1e6, 0.5, 1.0, 2.0)
+    assert all(type(args[name]) is float for name in ("d", "tau", "t", "kappa"))
+    args = parse_config(run_conditional_linearity, {"bandwidths": {"512": 0.2, "128": 1}})
+    assert args["bandwidths"] == {512: 0.2, 128: 1.0}
 
 
 def test_scan_unknown_part_fails_its_row(tmp_path, capsys):

@@ -205,6 +205,67 @@ def test_capped_kernel_rows_are_nearest(rng_factory, p):
         assert np.allclose(w_kept, np.exp(-0.5 * dist_sq[kept] / h**2), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, kind", [
+    (7, "random"),        # below one block
+    (53, "random"),       # not a multiple of the block
+    (40, "identity"),
+    (53, "cycle"),        # a single n-cycle
+    (53, "reversed"),
+    (400, "random"),
+])
+def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
+    rng = rng_factory("take-rows", n)
+    z = rng.standard_normal((n, 3)).astype(np.float32)
+    order = {
+        "identity": np.arange(n),
+        "cycle": np.roll(np.arange(n), 1),
+        "reversed": np.arange(n)[::-1],
+        "random": rng.permutation(n),
+    }[kind]
+    for block in (1, 10, n):
+        moved = z.copy()
+        cond._take_rows_in_place(moved, order, block)
+        assert np.array_equal(moved, z[order])
+
+
+def test_build_pool_sorts_like_a_copy(rng_factory):
+    # the p = 1 pool equals the chunks sampled in turn and sorted by a copy,
+    # and leaves the generator where that sampling leaves it
+    rng = rng_factory("pool-sort")
+    d, n = 5, 2 * cond._POOL_CHUNK + 1234
+    spec = dist.iid_marginal("uniform", d)
+    B = linalg.haar_stiefel(d, 1, rng)
+    ref_rng = copy.deepcopy(rng)
+    pool = cond.build_pool(spec, B, n, rng)
+    chunks = [dist.sample_z(spec, min(cond._POOL_CHUNK, n - start), ref_rng)
+              for start in range(0, n, cond._POOL_CHUNK)]
+    z = np.concatenate(chunks).astype(np.float32)
+    proj = np.concatenate([c @ B.entries for c in chunks])
+    order = np.argsort(proj[:, 0], kind="stable")
+    assert np.array_equal(pool.z, z[order]) and pool.z.flags.c_contiguous
+    assert np.array_equal(pool.proj, proj[order])
+    assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory):
+    # a p = 1 pool of three chunks peaks at the pool plus one float64 chunk,
+    # not two chunks while sampling or two pools while sorting
+    import tracemalloc
+
+    rng = rng_factory("pool-memory")
+    d, n = 64, 3 * cond._POOL_CHUNK
+    spec = dist.iid_marginal("uniform", d)
+    B = linalg.haar_stiefel(d, 1, rng)
+    tracemalloc.start()
+    try:
+        pool = cond.build_pool(spec, B, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool.z.nbytes == n * d * 4
+    assert peak <= 1.1 * (pool.z.nbytes + cond._POOL_CHUNK * d * 8)
+
+
 def test_build_pool_rejects_empty_pool(rng_factory):
     from projcond.errors import InvalidDimensionError
 
