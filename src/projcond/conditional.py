@@ -39,7 +39,7 @@ from .linalg import as_stiefel, clone_vectors, spectral_norm
 from .bounds import PART_A, balanced_tuning
 
 _JACKKNIFE_BLOCKS = 20
-_POOL_CHUNK = 20000   # pool rows sampled per float64 block
+_BLOCK_ROWS = 4096    # rows per block of every kernel-engine pass over a pool
 _NOISE_CAP = 4000     # highest-weight rows behind the kernel mean's noise scale
 _GRAM_CAP = 30000     # most rows in one kernel second-moment Gram
 _XI_EFF = 1.0 / 6.0   # xi_1 of part A at the default moment constants
@@ -211,14 +211,14 @@ def build_pool(
     if n_pool < 1:
         raise InvalidDimensionError("need n_pool >= 1")
     B = as_stiefel(B)
-    # the build holds one float32 pool plus one float64 chunk at a time:
-    # each chunk is freed before the next draw, and the sort moves rows
-    # within the pool
+    # the build holds one float32 pool plus one float64 block of
+    # _BLOCK_ROWS rows at a time: each block is freed before the next draw,
+    # and the sort moves rows within the pool
     z = np.empty((n_pool, B.d), dtype=np.float32)
     proj = np.empty((n_pool, B.p))
     done = 0
     while done < n_pool:
-        nb = min(_POOL_CHUNK, n_pool - done)
+        nb = min(_BLOCK_ROWS, n_pool - done)
         block = sample_z(spec, nb, rng)
         z[done: done + nb] = block
         proj[done: done + nb] = block @ B.entries
@@ -226,9 +226,9 @@ def build_pool(
         del block
     if B.p == 1:
         # sorted by projection: every kernel window is a contiguous slice;
-        # two half-chunk row temporaries stay within the freed chunk
+        # two half-block row temporaries stay within the freed block
         order = np.argsort(proj[:, 0], kind="stable")
-        _take_rows_in_place(z, order, _POOL_CHUNK // 2)
+        _take_rows_in_place(z, order, _BLOCK_ROWS // 2)
         proj = proj[order]
     if bandwidth is None:
         # projections of a standardized vector have unit variance
@@ -318,6 +318,33 @@ def _nearest(pool: ForwardPool, x: np.ndarray, rows, w: np.ndarray, cap: int):
     return slice(rows.start + a, rows.start + a + cap), w[a: a + cap]
 
 
+def _window_blocks(z: np.ndarray, rows, scale: np.ndarray | None = None):
+    """The window rows of z, each times its scale when one is given, in
+    blocks of at most _BLOCK_ROWS rows written into one reused float32
+    buffer, so no copy of the whole window is ever made.
+
+    rows is a slice or an index array, as _window and _nearest return it;
+    a slice needs a scale, since its unscaled rows are views already.
+    Yields (part, block): the window positions of the block's rows and the
+    block, which the next step overwrites.
+    """
+    sliced = isinstance(rows, slice)
+    m = rows.stop - rows.start if sliced else rows.shape[0]
+    buf = np.empty((min(m, _BLOCK_ROWS), z.shape[1]), dtype=np.float32)
+    for a in range(0, m, _BLOCK_ROWS):
+        part = slice(a, min(a + _BLOCK_ROWS, m))
+        block = buf[: part.stop - a]
+        if sliced:
+            np.multiply(z[rows.start + a: rows.start + part.stop], scale[part, None], out=block)
+        else:
+            # the indices lie in range; mode "raise" would copy out through
+            # a buffer
+            np.take(z, rows[part], axis=0, out=block, mode="clip")
+            if scale is not None:
+                block *= scale[part, None]
+        yield part, block
+
+
 def kernel_h(pool: ForwardPool, x) -> float:
     """Projected density at x relative to the standard Gaussian density."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -344,7 +371,13 @@ def kernel_mu(pool: ForwardPool, x):
     if sw <= 0.0 or w.shape[0] < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
     wf = w.astype(np.float32)
-    mu = (wf @ pool.z[rows]).astype(np.float64) / sw
+    if isinstance(rows, slice):
+        mu = (wf @ pool.z[rows]).astype(np.float64) / sw
+    else:
+        mu = np.zeros(pool.d)
+        for part, block in _window_blocks(pool.z, rows):
+            mu += wf[part] @ block
+        mu /= sw
     proj_mean = (w @ pool.proj[rows]) / sw
     rows_l, wl = _nearest(pool, x, rows, w, _NOISE_CAP)
     resid_sq = (wl**2) @ np.asarray(
@@ -372,21 +405,24 @@ def kernel_delta_norm(pool: ForwardPool, x):
     the projection block of the target is smoothed with the same weights,
     cancelling the first-order kernel bias.  When more than _GRAM_CAP pool
     points fall inside the kernel window, only the _GRAM_CAP highest-weight
-    points are kept (a locally narrowed bandwidth); the weighted second
-    moment is then accumulated with one float32 GEMM.
+    points are kept (a locally narrowed bandwidth).  The weighted second
+    moment is then summed over blocks of _BLOCK_ROWS rows, each scaled by
+    the root weights into one reused float32 buffer and added as a float32
+    SYRK to a float64 sum.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows, w = _nearest(pool, x, *_window(pool, x), _GRAM_CAP)
-    zl, proj_l = pool.z[rows], pool.proj[rows]
     if w.shape[0] < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
     sw = float(np.sum(w))
     b = pool.b
     d = pool.d
+    proj_l = pool.proj[rows]
     proj_second = np.einsum("n,ni,nj->ij", w, proj_l, proj_l) / sw
     shift = proj_second - np.eye(pool.p)
-    xw = zl * np.sqrt(w, dtype=np.float32)[:, None]
-    gram = (xw.T @ xw).astype(np.float64)
+    gram = np.zeros((d, d))
+    for _, block in _window_blocks(pool.z, rows, np.sqrt(w, dtype=np.float32)):
+        gram += block.T @ block
     delta = gram / sw - np.eye(d) - b @ shift @ b.T
     if d <= 256:
         return spectral_norm(delta)

@@ -28,6 +28,7 @@ ORTHO_TOL = 1e-10
 SYM_TOL = 1e-12
 FRAME_TOL = 1e-8
 SINGULAR_RATIO = 1e-10
+_REPS_BLOCK = 10000   # samples per block of triangular_statistics
 
 
 def spectral_norm(sym: np.ndarray) -> float:
@@ -332,8 +333,13 @@ def triangular_statistics(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xsq = float(x @ x)
     b = haar_stiefel_batch(d, p, 1, rng)[0]
-    w = clone_vectors(b, x, rng.standard_normal((n_reps, k, d)))
-    gram = np.einsum("nkd,nld->nkl", w, w)
+    # the clones are drawn and reduced _REPS_BLOCK samples at a time, in the
+    # order of one whole draw, so no (n_reps, k, d) stack is ever held
+    gram = np.empty((n_reps, k, k))
+    for a in range(0, n_reps, _REPS_BLOCK):
+        nb = min(_REPS_BLOCK, n_reps - a)
+        w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
+        gram[a: a + nb] = np.einsum("nkd,nld->nkl", w, w)
     l_s = np.linalg.cholesky(gram - xsq)
     l_t = np.linalg.cholesky(gram)
     return {"s": np.transpose(l_s, (0, 2, 1)), "t": np.transpose(l_t, (0, 2, 1))}

@@ -11,7 +11,7 @@ squared (1,2) entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,13 +54,25 @@ class MomentConditionConstants:
 
     @staticmethod
     def from_json(obj: dict) -> "MomentConditionConstants":
-        return MomentConditionConstants(
-            epsilon=float(obj.get("epsilon", DEFAULT_EPSILON)),
-            alpha=float(obj.get("alpha", 1.0)),
-            beta=float(obj.get("beta", 1.0)),
-            xi=float(obj.get("xi", DEFAULT_XI)),
-            D=float(obj.get("D", 1.0)),
-        )
+        """The constants of a JSON object; an omitted key keeps its default.
+
+        Raises ValueError naming an unknown key, and TypeError or ValueError
+        naming a key whose value is not a number (a boolean included).
+        """
+        # imported here: experiments, which holds the config casts, imports
+        # this module
+        from .experiments import _real
+
+        known = [f.name for f in fields(MomentConditionConstants)]
+        values = {}
+        for key, value in obj.items():
+            if key not in known:
+                raise ValueError(f"unknown key '{key}'; expected one of {sorted(known)}")
+            try:
+                values[key] = _real(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise type(exc)(f"key '{key}': {exc}") from None
+        return MomentConditionConstants(**values)
 
 
 def _classify(pairs: tuple[tuple[int, int], ...]) -> str:

@@ -118,6 +118,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
      "'x_norms'"),
     ({"experiment": "conditional-linearity", "bandwidths": {"32": True}}, "'bandwidths'"),
     ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": False}, "'tau1'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
+      "constants": {"alpha": True, "alhpa": 3}}, "'constants'"),
+    ({"experiment": "asymptotic-scan", "constants": {"alhpa": 3}}, "'constants'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -125,6 +128,18 @@ def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("constants, key", [
+    ({"alpha": True, "alhpa": 3}, "'alpha'"),
+    ({"alhpa": 3}, "'alhpa'"),
+    ({"xi": "abc"}, "'xi'"),
+])
+def test_constants_errors_name_the_key(constants, key):
+    cfg = {"d": 100, "p": 1, "tau": 0.5, "constants": constants}
+    with pytest.raises(ConfigError, match="'constants'") as err:
+        parse_config(run_theorem_bound, cfg)
+    assert key in str(err.value)
 
 
 def test_integer_fields_refuse_booleans_and_fractions():

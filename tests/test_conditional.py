@@ -229,22 +229,58 @@ def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
 
 
 def test_build_pool_sorts_like_a_copy(rng_factory):
-    # the p = 1 pool equals the chunks sampled in turn and sorted by a copy,
-    # and leaves the generator where that sampling leaves it
+    # the p = 1 pool equals one unchunked draw sorted by a copy, whatever
+    # the block size, and leaves the generator where that draw leaves it
     rng = rng_factory("pool-sort")
-    d, n = 5, 2 * cond._POOL_CHUNK + 1234
+    d, n = 5, 2 * cond._BLOCK_ROWS + 1234
     spec = dist.iid_marginal("uniform", d)
     B = linalg.haar_stiefel(d, 1, rng)
     ref_rng = copy.deepcopy(rng)
     pool = cond.build_pool(spec, B, n, rng)
-    chunks = [dist.sample_z(spec, min(cond._POOL_CHUNK, n - start), ref_rng)
-              for start in range(0, n, cond._POOL_CHUNK)]
-    z = np.concatenate(chunks).astype(np.float32)
-    proj = np.concatenate([c @ B.entries for c in chunks])
+    z64 = dist.sample_z(spec, n, ref_rng)
+    proj = z64 @ B.entries
     order = np.argsort(proj[:, 0], kind="stable")
-    assert np.array_equal(pool.z, z[order]) and pool.z.flags.c_contiguous
+    assert np.array_equal(pool.z, z64.astype(np.float32)[order]) and pool.z.flags.c_contiguous
     assert np.array_equal(pool.proj, proj[order])
     assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("m", [
+    cond._BLOCK_ROWS // 3,          # below one block
+    2 * cond._BLOCK_ROWS,           # an exact multiple of the block
+    cond._BLOCK_ROWS + 517,         # a ragged tail
+])
+def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
+    # a hand-built pool whose window at x = 0 holds exactly m rows: a slice
+    # of the sorted pool at p = 1, scattered indices at p = 2; the blocked
+    # weighted Gram and mean match one-shot float64 sums
+    rng = rng_factory("window-blocks", 10 * m + p)
+    d, n_far = 12, 3000
+    radius = np.concatenate([rng.uniform(0.0, 1.9, m), rng.uniform(5.0, 8.0, n_far)])
+    direction = rng.standard_normal((m + n_far, p))
+    proj = radius[:, None] * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    proj = proj[np.argsort(proj[:, 0])] if p == 1 else proj[rng.permutation(m + n_far)]
+    # a non-zero mean and one stretched coordinate keep both references far
+    # from zero, so a lost or repeated block shows at rtol 1e-5
+    z = (1.0 + rng.standard_normal((m + n_far, d)) * np.r_[2.0, np.ones(d - 1)]).astype(np.float32)
+    pool = cond.ForwardPool(b=np.eye(d)[:, :p], z=z, proj=proj, bandwidth=0.5)
+    x = np.zeros(p)
+    rows, w = cond._window(pool, x)
+    assert w.shape[0] == m and isinstance(rows, slice) == (p == 1)
+
+    zr = z[rows].astype(np.float64)
+    sw = w.sum()
+    mu_ref = w @ zr / sw
+    gram_ref = (zr * w[:, None]).T @ zr
+    pr = proj[rows]
+    shift = np.einsum("n,ni,nj->ij", w, pr, pr) / sw - np.eye(p)
+    delta_ref = gram_ref / sw - np.eye(d) - pool.b @ shift @ pool.b.T
+    norm_ref = float(np.max(np.abs(np.linalg.eigvalsh(delta_ref))))
+
+    mu = cond.kernel_mu(pool, x)[0]
+    assert np.linalg.norm(mu - mu_ref) <= 1e-5 * np.linalg.norm(mu_ref)
+    assert cond.kernel_delta_norm(pool, x) == pytest.approx(norm_ref, rel=1e-5)
 
 
 def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory):
@@ -253,7 +289,7 @@ def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory):
     import tracemalloc
 
     rng = rng_factory("pool-memory")
-    d, n = 64, 3 * cond._POOL_CHUNK
+    d, n = 64, 3 * cond._BLOCK_ROWS
     spec = dist.iid_marginal("uniform", d)
     B = linalg.haar_stiefel(d, 1, rng)
     tracemalloc.start()
@@ -263,7 +299,7 @@ def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory):
     finally:
         tracemalloc.stop()
     assert pool.z.nbytes == n * d * 4
-    assert peak <= 1.1 * (pool.z.nbytes + cond._POOL_CHUNK * d * 8)
+    assert peak <= 1.1 * (pool.z.nbytes + cond._BLOCK_ROWS * d * 8)
 
 
 def test_build_pool_rejects_empty_pool(rng_factory):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -213,6 +214,22 @@ def test_bartlett_check_small(rng_factory):
         linalg.bartlett_distribution_check(12, 1, 20, 20_000, rng_factory("b2"))
     with pytest.raises(InvalidDimensionError):
         linalg.bartlett_distribution_check(12, 1, 2, 10, rng_factory("b3"))
+
+
+def test_triangular_statistics_blocks_equal_one_draw(rng_factory):
+    # the blocked draw and reduction equal one (n, k, d) draw reduced at
+    # once, bitwise, and leave the generator where that draw leaves it
+    rng = rng_factory("tri-blocks")
+    d, p, k, n = 20, 2, 3, 2 * linalg._REPS_BLOCK + 123
+    x = np.array([1.0, 0.0])
+    ref_rng = copy.deepcopy(rng)
+    tri = linalg.triangular_statistics(d, p, k, x, n, rng)
+    b = linalg.haar_stiefel_batch(d, p, 1, ref_rng)[0]
+    w = linalg.clone_vectors(b, x, ref_rng.standard_normal((n, k, d)))
+    gram = np.einsum("nkd,nld->nkl", w, w)
+    assert np.array_equal(tri["s"], np.transpose(np.linalg.cholesky(gram - x @ x), (0, 2, 1)))
+    assert np.array_equal(tri["t"], np.transpose(np.linalg.cholesky(gram), (0, 2, 1)))
+    assert np.array_equal(rng.random(8), ref_rng.random(8))
 
 
 def test_clone_vectors_stack_matches_single_frames(rng_factory):
