@@ -224,12 +224,12 @@ def build_pool(
         proj[done: done + nb] = block @ B.entries
         done += nb
         del block
-    if B.p == 1:
-        # sorted by projection: every kernel window is a contiguous slice;
-        # two half-block row temporaries stay within the freed block
-        order = np.argsort(proj[:, 0], kind="stable")
-        _take_rows_in_place(z, order, _BLOCK_ROWS // 2)
-        proj = proj[order]
+    # sorted on the first projected coordinate: every kernel window is a
+    # band of rows, a contiguous slice; two half-block row temporaries stay
+    # within the freed block
+    order = np.argsort(proj[:, 0], kind="stable")
+    _take_rows_in_place(z, order, _BLOCK_ROWS // 2)
+    proj = proj[order]
     if bandwidth is None:
         # projections of a standardized vector have unit variance
         bandwidth = 1.06 * n_pool ** (-1.0 / (B.p + 4))
@@ -277,71 +277,51 @@ def _bandwidth_at(pool: ForwardPool, x: np.ndarray) -> float:
 
 
 def _window(pool: ForwardPool, x: np.ndarray):
-    """Pool rows within 4 kernel widths of x and their kernel weights.
-
-    For sorted p = 1 pools the rows are a contiguous slice, so indexing the
-    pool with them gives views; for general p they are an index array.
+    """The band of pool rows whose first projected coordinate lies within 4
+    kernel widths of x, as a slice of the sorted pool, and their kernel
+    weights; a band row outside the 4-width disk around x weighs 0.
     """
     h = _bandwidth_at(pool, x)
-    if pool.p == 1:
-        col = pool.proj[:, 0]
-        lo = int(np.searchsorted(col, x[0] - 4.0 * h, side="left"))
-        hi = int(np.searchsorted(col, x[0] + 4.0 * h, side="right"))
-        u = (col[lo:hi] - x[0]) / h
-        return slice(lo, hi), np.exp(-0.5 * u * u)
-    u = (pool.proj - x[None, :]) / h
+    col = pool.proj[:, 0]
+    lo = int(np.searchsorted(col, x[0] - 4.0 * h, side="left"))
+    hi = int(np.searchsorted(col, x[0] + 4.0 * h, side="right"))
+    u = (pool.proj[lo:hi] - x) / h
     dist_sq = np.einsum("np,np->n", u, u)
-    idx = np.flatnonzero(dist_sq < 16.0)
-    return idx, np.exp(-0.5 * dist_sq[idx])
+    return slice(lo, hi), np.where(dist_sq < 16.0, np.exp(-0.5 * dist_sq), 0.0)
 
 
-def _nearest(pool: ForwardPool, x: np.ndarray, rows, w: np.ndarray, cap: int):
-    """The cap rows of a window nearest x in projection distance, with their
-    weights (the whole window when it holds at most cap rows).
+def _nearest(rows: slice, w: np.ndarray, cap: int):
+    """The pool indices, in ascending order, of the at most cap rows of a
+    window with the highest non-zero weights, and those weights.
 
-    For p = 1 this is the contiguous block of cap sorted projections whose
-    farthest member is closest to x; otherwise the cap highest weights.
+    The highest weights are the rows nearest x in projection distance.  They
+    are marked in a mask, so the kept rows stay in pool order without a sort.
     """
-    if w.shape[0] <= cap:
-        return rows, w
-    if pool.p != 1:
-        keep = np.argpartition(-w, cap)[:cap]
-        return rows[keep], w[keep]
-    vals = pool.proj[rows, 0]
-    x0 = float(x[0])
-    left = int(np.searchsorted(vals, x0))
-    a_min = max(0, left - cap)
-    a_max = max(a_min, min(left, vals.shape[0] - cap))
-    cand = np.arange(a_min, a_max + 1)
-    cost = np.maximum(x0 - vals[cand], vals[cand + cap - 1] - x0)
-    a = int(cand[np.argmin(cost)])
-    return slice(rows.start + a, rows.start + a + cap), w[a: a + cap]
+    keep = w > 0.0
+    if np.count_nonzero(keep) > cap:
+        keep[:] = False
+        keep[np.argpartition(w, -cap)[-cap:]] = True
+    idx = np.flatnonzero(keep)
+    return rows.start + idx, w[idx]
 
 
-def _window_blocks(z: np.ndarray, rows, scale: np.ndarray | None = None):
-    """The window rows of z, each times its scale when one is given, in
-    blocks of at most _BLOCK_ROWS rows written into one reused float32
-    buffer, so no copy of the whole window is ever made.
+def _window_blocks(z: np.ndarray, rows: np.ndarray, scale: np.ndarray):
+    """The rows z[rows], each times its scale, in blocks of at most
+    _BLOCK_ROWS rows written into one reused float32 buffer, so no copy of
+    the whole window is ever made.
 
-    rows is a slice or an index array, as _window and _nearest return it;
-    a slice needs a scale, since its unscaled rows are views already.
     Yields (part, block): the window positions of the block's rows and the
     block, which the next step overwrites.
     """
-    sliced = isinstance(rows, slice)
-    m = rows.stop - rows.start if sliced else rows.shape[0]
+    m = rows.shape[0]
     buf = np.empty((min(m, _BLOCK_ROWS), z.shape[1]), dtype=np.float32)
     for a in range(0, m, _BLOCK_ROWS):
         part = slice(a, min(a + _BLOCK_ROWS, m))
         block = buf[: part.stop - a]
-        if sliced:
-            np.multiply(z[rows.start + a: rows.start + part.stop], scale[part, None], out=block)
-        else:
-            # the indices lie in range; mode "raise" would copy out through
-            # a buffer
-            np.take(z, rows[part], axis=0, out=block, mode="clip")
-            if scale is not None:
-                block *= scale[part, None]
+        # the indices lie in range; mode "raise" would copy out through a
+        # buffer
+        np.take(z, rows[part], axis=0, out=block, mode="clip")
+        block *= scale[part, None]
         yield part, block
 
 
@@ -368,22 +348,20 @@ def kernel_mu(pool: ForwardPool, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows, w = _window(pool, x)
     sw = float(np.sum(w))
-    if sw <= 0.0 or w.shape[0] < 2:
+    if sw <= 0.0 or np.count_nonzero(w) < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
-    wf = w.astype(np.float32)
-    if isinstance(rows, slice):
-        mu = (wf @ pool.z[rows]).astype(np.float64) / sw
-    else:
-        mu = np.zeros(pool.d)
-        for part, block in _window_blocks(pool.z, rows):
-            mu += wf[part] @ block
-        mu /= sw
+    mu = (w.astype(np.float32) @ pool.z[rows]).astype(np.float64) / sw
     proj_mean = (w @ pool.proj[rows]) / sw
-    rows_l, wl = _nearest(pool, x, rows, w, _NOISE_CAP)
-    resid_sq = (wl**2) @ np.asarray(
-        (pool.z[rows_l] - mu.astype(np.float32)) ** 2, dtype=np.float64
-    )
-    noise = math.sqrt(float(np.sum(resid_sq))) / sw
+    # sum_i wl_i^2 ||z_i - mu||^2, expanded over the blocks of wl z
+    rows_l, wl = _nearest(rows, w, _NOISE_CAP)
+    wl32 = wl.astype(np.float32)
+    sq = 0.0
+    cross = np.zeros(pool.d)
+    for part, block in _window_blocks(pool.z, rows_l, wl32):
+        sq += float(np.einsum("nd,nd->n", block, block).sum(dtype=np.float64))
+        cross += wl32[part] @ block
+    resid_sq = sq - 2.0 * float(mu @ cross) + float(mu @ mu) * float(wl @ wl)
+    noise = math.sqrt(max(resid_sq, 0.0)) / sw
     return mu, proj_mean, noise
 
 
@@ -411,7 +389,7 @@ def kernel_delta_norm(pool: ForwardPool, x):
     SYRK to a float64 sum.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows, w = _nearest(pool, x, *_window(pool, x), _GRAM_CAP)
+    rows, w = _nearest(*_window(pool, x), _GRAM_CAP)
     if w.shape[0] < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
     sw = float(np.sum(w))

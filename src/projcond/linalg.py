@@ -123,13 +123,12 @@ def haar_stiefel_batch(d: int, p: int, n: int, rng: np.random.Generator) -> np.n
 
 
 def clone_vectors(b: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The clones W = Bx + (I - BB')V for one frame or a stack of frames.
+    """The clones W = Bx + (I - BB')V along one (d, p) frame ``b``.
 
-    ``b`` is a (d, p) frame with ``v`` a (k, d) array of Gaussian rows, or an
-    (n, d, p) stack with ``v`` of shape (n, k, d); W has the shape of ``v``
-    and every row satisfies B'W_j = x.
+    ``v`` holds Gaussian rows of length d, as a (k, d) array or an (n, k, d)
+    stack; W has the shape of ``v`` and every row satisfies B'W_j = x.
     """
-    return np.expand_dims(b @ x, -2) + v - (v @ b) @ np.swapaxes(b, -1, -2)
+    return b @ x + v - (v @ b) @ b.T
 
 
 def gram_matrix(vectors, d: int) -> GramMatrix:

@@ -288,6 +288,14 @@ def test_all_kinds_report_matches_golden(tmp_path):
     assert (tmp_path / "all_kinds.csv").read_bytes() == (DATA / "all_kinds.csv").read_bytes()
 
 
+def test_smoke_report_matches_golden(tmp_path):
+    """`projcond verify --profile smoke` at the default seed writes
+    tests/data/smoke.csv byte for byte (same platform caveat as above)."""
+    out = tmp_path / "smoke"
+    assert main(["verify", "--profile", "smoke", "--out", str(out)]) == 0
+    assert (tmp_path / "smoke.csv").read_bytes() == (DATA / "smoke.csv").read_bytes()
+
+
 def test_readme_lists_every_field():
     readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
     for kind, fn in EXPERIMENTS.items():

@@ -183,26 +183,32 @@ def test_kernel_delta_norm_reproducible_on_eigsh_path(rng_factory):
     assert all(cond.kernel_delta_norm(pool, x) == first for _ in range(3))
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_capped_kernel_rows_are_nearest(rng_factory, p):
-    # the capped window holds the cap pool rows nearest x in projection
-    # distance, checked against a brute-force sort of the whole pool
+    # the window weighs exactly the pool rows within 4 kernel widths of x,
+    # bitwise as a scan of the whole pool does, and the capped window holds
+    # the cap of them nearest x in projection distance, in pool order
     rng = rng_factory("kernel-cap", p)
     d, cap = 6, 700
     pool = cond.build_pool(dist.iid_marginal("uniform", d), linalg.haar_stiefel(d, p, rng),
                            20_000, rng, bandwidth=0.4)
-    for x in (np.array([0.0, 0.0]), np.array([-1.3, 0.4]), np.array([2.2, -0.5])):
+    for x in (np.array([0.0, 0.0, 0.0]), np.array([-1.3, 0.4, 0.2]),
+              np.array([2.2, -0.5, 0.3])):
         x = x[:p]
-        rows, w = cond._window(pool, x)
-        assert w.shape[0] > cap
-        kept, w_kept = cond._nearest(pool, x, rows, w, cap)
-        if p == 1:
-            assert isinstance(kept, slice)
-        kept = np.arange(pool.n)[kept]
-        dist_sq = np.sum((pool.proj - x) ** 2, axis=1)
-        assert sorted(kept.tolist()) == sorted(np.argsort(dist_sq)[:cap].tolist())
         h = cond._bandwidth_at(pool, x)
-        assert np.allclose(w_kept, np.exp(-0.5 * dist_sq[kept] / h**2), rtol=1e-12)
+        u = (pool.proj - x) / h
+        dist_sq = np.einsum("np,np->n", u, u)
+        inside = np.flatnonzero(dist_sq < 16.0)
+        rows, w = cond._window(pool, x)
+        assert np.array_equal(rows.start + np.flatnonzero(w), inside)
+        assert np.array_equal(w[w > 0.0], np.exp(-0.5 * dist_sq[inside]))
+        assert inside.shape[0] > cap
+        kept, w_kept = cond._nearest(rows, w, cap)
+        assert np.array_equal(kept, np.sort(np.argsort(dist_sq)[:cap]))
+        assert np.array_equal(w_kept, np.exp(-0.5 * dist_sq[kept]))
+        # below the cap the whole disk is kept
+        kept, w_kept = cond._nearest(rows, w, inside.shape[0])
+        assert np.array_equal(kept, inside) and np.array_equal(w_kept, w[w > 0.0])
 
 
 @pytest.mark.parametrize("n, kind", [
@@ -228,13 +234,15 @@ def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
         assert np.array_equal(moved, z[order])
 
 
-def test_build_pool_sorts_like_a_copy(rng_factory):
-    # the p = 1 pool equals one unchunked draw sorted by a copy, whatever
-    # the block size, and leaves the generator where that draw leaves it
-    rng = rng_factory("pool-sort")
+@pytest.mark.parametrize("p", [1, 2])
+def test_build_pool_sorts_like_a_copy(rng_factory, p):
+    # the pool equals one unchunked draw sorted by a copy on the first
+    # projected coordinate, whatever the block size, and leaves the
+    # generator where that draw leaves it
+    rng = rng_factory("pool-sort", p)
     d, n = 5, 2 * cond._BLOCK_ROWS + 1234
     spec = dist.iid_marginal("uniform", d)
-    B = linalg.haar_stiefel(d, 1, rng)
+    B = linalg.haar_stiefel(d, p, rng)
     ref_rng = copy.deepcopy(rng)
     pool = cond.build_pool(spec, B, n, rng)
     z64 = dist.sample_z(spec, n, ref_rng)
@@ -252,28 +260,30 @@ def test_build_pool_sorts_like_a_copy(rng_factory):
     cond._BLOCK_ROWS + 517,         # a ragged tail
 ])
 def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
-    # a hand-built pool whose window at x = 0 holds exactly m rows: a slice
-    # of the sorted pool at p = 1, scattered indices at p = 2; the blocked
-    # weighted Gram and mean match one-shot float64 sums
+    # a hand-built sorted pool whose window at x = 0 weighs exactly m rows:
+    # the whole band at p = 1, scattered rows of the band at p = 2; the
+    # blocked weighted Gram and mean match one-shot float64 sums
     rng = rng_factory("window-blocks", 10 * m + p)
     d, n_far = 12, 3000
     radius = np.concatenate([rng.uniform(0.0, 1.9, m), rng.uniform(5.0, 8.0, n_far)])
     direction = rng.standard_normal((m + n_far, p))
     proj = radius[:, None] * direction / np.linalg.norm(direction, axis=1, keepdims=True)
-    proj = proj[np.argsort(proj[:, 0])] if p == 1 else proj[rng.permutation(m + n_far)]
+    proj = proj[np.argsort(proj[:, 0])]
     # a non-zero mean and one stretched coordinate keep both references far
     # from zero, so a lost or repeated block shows at rtol 1e-5
     z = (1.0 + rng.standard_normal((m + n_far, d)) * np.r_[2.0, np.ones(d - 1)]).astype(np.float32)
     pool = cond.ForwardPool(b=np.eye(d)[:, :p], z=z, proj=proj, bandwidth=0.5)
     x = np.zeros(p)
     rows, w = cond._window(pool, x)
-    assert w.shape[0] == m and isinstance(rows, slice) == (p == 1)
+    inside = rows.start + np.flatnonzero(w)
+    w = w[w > 0.0]
+    assert w.shape[0] == m and (inside.shape[0] < rows.stop - rows.start) == (p == 2)
 
-    zr = z[rows].astype(np.float64)
+    zr = z[inside].astype(np.float64)
     sw = w.sum()
     mu_ref = w @ zr / sw
     gram_ref = (zr * w[:, None]).T @ zr
-    pr = proj[rows]
+    pr = proj[inside]
     shift = np.einsum("n,ni,nj->ij", w, pr, pr) / sw - np.eye(p)
     delta_ref = gram_ref / sw - np.eye(d) - pool.b @ shift @ pool.b.T
     norm_ref = float(np.max(np.abs(np.linalg.eigvalsh(delta_ref))))
@@ -283,15 +293,16 @@ def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
     assert cond.kernel_delta_norm(pool, x) == pytest.approx(norm_ref, rel=1e-5)
 
 
-def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory):
-    # a p = 1 pool of three chunks peaks at the pool plus one float64 chunk,
-    # not two chunks while sampling or two pools while sorting
+@pytest.mark.parametrize("p", [1, 2])
+def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory, p):
+    # a pool of three chunks peaks at the pool plus one float64 chunk, not
+    # two chunks while sampling or two pools while sorting
     import tracemalloc
 
-    rng = rng_factory("pool-memory")
+    rng = rng_factory("pool-memory", p)
     d, n = 64, 3 * cond._BLOCK_ROWS
     spec = dist.iid_marginal("uniform", d)
-    B = linalg.haar_stiefel(d, 1, rng)
+    B = linalg.haar_stiefel(d, p, rng)
     tracemalloc.start()
     try:
         pool = cond.build_pool(spec, B, n, rng)
@@ -300,6 +311,24 @@ def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory):
         tracemalloc.stop()
     assert pool.z.nbytes == n * d * 4
     assert peak <= 1.1 * (pool.z.nbytes + cond._BLOCK_ROWS * d * 8)
+
+
+def test_kernel_mu_counts_weighted_rows_not_band_rows():
+    # at p = 2 the band |proj_1 - x_1| <= 4h holds five rows, but the 4h disk
+    # around x holds one: too little mass for a mean and its noise
+    from projcond.errors import DegenerateDensityError
+
+    proj = np.array([[-0.1, 9.0], [-0.05, -7.0], [0.0, 0.0], [0.05, 6.0], [0.1, -8.0],
+                     [3.0, 0.0], [4.0, 0.0]])
+    pool = cond.ForwardPool(b=np.eye(4)[:, :2], z=np.ones((7, 4), dtype=np.float32),
+                            proj=proj, bandwidth=0.5)
+    x = np.zeros(2)
+    rows, w = cond._window(pool, x)
+    assert rows.stop - rows.start == 5 and np.count_nonzero(w) == 1
+    with pytest.raises(DegenerateDensityError):
+        cond.kernel_mu(pool, x)
+    with pytest.raises(DegenerateDensityError):
+        cond.kernel_delta_norm(pool, x)
 
 
 def test_build_pool_rejects_empty_pool(rng_factory):
