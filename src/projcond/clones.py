@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
 from .linalg import StiefelMatrix, as_stiefel, clone_vectors, haar_stiefel_batch
-from .streams import mean_se
+from .streams import batch_mean_se
 
 _CHAIN_BATCH = 20000  # samples per batch of clones in the chain identities
 
@@ -201,20 +201,18 @@ def gaussian_chain_identity(
         # each segment (lo, hi] contributes W_{lo+1}'W_{lo+2} ... W_{hi-1}'W_hi
         pairs = [(j, j + 1) for lo, hi in zip(idx, idx[1:]) for j in range(lo, hi - 1)]
 
-    total = total_sq = 0.0
     b = haar_stiefel_batch(d, p, 1, rng)[0]
-    for start in range(0, n, _CHAIN_BATCH):
-        nb = min(_CHAIN_BATCH, n - start)
+
+    # each batch of clones is freed when draw returns, before the next is
+    # drawn, which sets the peak memory
+    def draw(nb):
         w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
-        if alternating:
-            stat = np.zeros(nb)
-            for coef, cycle in cycles:
-                stat += coef * (_product_of_inner_products(w, cycle) - d + p - 1.0)
-        else:
-            stat = _product_of_inner_products(w, pairs)
-        total += float(np.sum(stat))
-        total_sq += float(np.sum(stat**2))
-        # drop this batch before the next is drawn, which sets the peak memory
-        del w
-    mean, se = mean_se(total, total_sq, n)
+        if not alternating:
+            return _product_of_inner_products(w, pairs)
+        stat = np.zeros(nb)
+        for coef, cycle in cycles:
+            stat += coef * (_product_of_inner_products(w, cycle) - d + p - 1.0)
+        return stat
+
+    mean, se = batch_mean_se(n, _CHAIN_BATCH, draw)
     return mean - target, se

@@ -28,17 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from .distributions import (
-    DistributionSpec,
-    gaussian_log_density_batch,
-    log_density_batch,
-    sample_z,
-)
+from .distributions import DistributionSpec, gaussian, log_density_batch, sample_z
 from .errors import DegenerateDensityError, InvalidDimensionError
 from .linalg import as_stiefel, clone_vectors, spectral_norm
 from .bounds import PART_A, balanced_tuning
 
 _JACKKNIFE_BLOCKS = 20
+_RATIO_BATCH = 20000  # inner draws per chunk of the ratio engine
 _BLOCK_ROWS = 4096    # rows per block of every kernel-engine pass over a pool
 _NOISE_CAP = 4000     # highest-weight rows behind the kernel mean's noise scale
 _GRAM_CAP = 30000     # most rows in one kernel second-moment Gram
@@ -75,13 +71,13 @@ def _ratio_conditional(
     n: int,
     rng: np.random.Generator,
     second_moment: bool = True,
-    batch: int = 20000,
 ) -> ConditionalEstimates:
     B = as_stiefel(B)
     d, p = B.d, B.p
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b = B.entries
     bx = b @ x
+    phi = gaussian(d)
     nblocks = min(_JACKKNIFE_BLOCKS, n)
     sizes = np.full(nblocks, n // nblocks)
     sizes[: n % nblocks] += 1
@@ -96,10 +92,10 @@ def _ratio_conditional(
     for blk, size in enumerate(sizes):
         done = 0
         while done < size:
-            nb = min(batch, size - done)
+            nb = min(_RATIO_BATCH, size - done)
             v = rng.standard_normal((nb, d))
             w = clone_vectors(b, x, v)
-            log_r = log_density_batch(spec, w) - gaussian_log_density_batch(w)
+            log_r = log_density_batch(spec, w) - log_density_batch(phi, w)
             r = np.exp(log_r)
             ones = np.ones(nb)
             s_r[blk] += float(np.sum(r))
@@ -479,15 +475,9 @@ def deviation_probability(
         x = xs[j]
         if engine == "ratio":
             est = _ratio_conditional(spec, B, x, n_inner, rng)
-            if est.h_hat <= 0.0:
-                # no usable weight: the estimator carries no information here
-                dev_mu = math.inf
-                dev_delta = math.inf
-                noise = math.inf
-            else:
-                dev_mu = float(np.linalg.norm(est.mu_hat - b @ x))
-                dev_delta = est.delta_op_norm_hat
-                noise = float(np.linalg.norm(est.mu_se))
+            dev_mu = float(np.linalg.norm(est.mu_hat - b @ x))
+            dev_delta = est.delta_op_norm_hat
+            noise = float(np.linalg.norm(est.mu_se))
         else:
             dev_mu, noise = kernel_mu_deviation(pool, x)
             dev_delta = kernel_delta_norm(pool, x)
@@ -587,7 +577,7 @@ def g_membership(
         if engine == "ratio":
             est = _ratio_conditional(spec, B, x, n_inner, rng, second_moment=False)
             h_val = est.h_hat
-            dev_sq = float(np.sum((est.mu_hat - b @ x) ** 2)) if h_val > 0 else 0.0
+            dev_sq = float(np.sum((est.mu_hat - b @ x) ** 2))
         else:
             h_val = kernel_h(pool, x)
             dev, _ = kernel_mu_deviation(pool, x)

@@ -138,11 +138,6 @@ def log_density(spec: DistributionSpec, z) -> float:
     return float(log_density_batch(spec, np.asarray(z, dtype=float)[None, :])[0])
 
 
-def gaussian_log_density_batch(z: np.ndarray) -> np.ndarray:
-    z = np.atleast_2d(z)
-    return -0.5 * np.sum(z * z, axis=1) - z.shape[1] * LOG_SQRT_2PI
-
-
 def _spd_power(mat: np.ndarray, power: float, floor: float = 1e-12) -> np.ndarray:
     """Symmetric matrix power via eigendecomposition with an eigenvalue floor."""
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))

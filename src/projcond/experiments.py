@@ -24,7 +24,7 @@ from . import bounds, clones, conditional, distributions, linalg, moments
 from .errors import ConfigError, ConstraintViolatedError, ProjcondError, RankDeficientError
 from .expansion import remainder_diagnostic
 from .moments import MomentConditionConstants
-from .streams import mean_se, substream
+from .streams import batch_mean_se, substream
 
 CSV_HEADER = ["experiment", "params", "estimate", "se", "target", "pass", "ms"]
 
@@ -214,14 +214,8 @@ def run_clone_density_check(
     """Importance-sampling normalization: E exp(log ratio) = 1 over Gaussians."""
     rows = []
     for xn in x_norms:
-        total = total_sq = 0.0
-        for start in range(0, n, 20000):
-            nb = min(20000, n - start)
-            v = rng.standard_normal((nb, k, d))
-            r = np.exp(clones.log_density_ratio_batch(xn**2, v, p))
-            total += float(np.sum(r))
-            total_sq += float(np.sum(r * r))
-        mean, se = mean_se(total, total_sq, n)
+        mean, se = batch_mean_se(n, 20000, lambda nb: np.exp(
+            clones.log_density_ratio_batch(xn**2, rng.standard_normal((nb, k, d)), p)))
         rows.append(ReportRow(
             "clone-density-check", f"d={d};p={p};k={k};|x|={xn};n={n}", mean, se, 1.0
         ))

@@ -1,5 +1,5 @@
-"""Sample estimation of the moment-condition constants and their
-Gaussian reference values, with analytic oracles for the implemented laws.
+"""Sample estimation of the moment-condition constants, with analytic
+oracles for the implemented laws.
 
 All estimators draw non-overlapping blocks of k fresh vectors per Gram
 matrix, so block means are independent and the reported standard errors are
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .distributions import DistributionSpec, gaussian, moment_oracle, sample_z
+from .distributions import DistributionSpec, moment_oracle, sample_z
 from .errors import InvalidDimensionError, InvalidStructureError
-from .streams import mean_se
+from .streams import batch_mean_se
 
 DEFAULT_EPSILON = 0.5
 DEFAULT_XI = 0.5
@@ -178,17 +178,12 @@ def cycle_monomial(g: int) -> MonomialSpec:
     return MonomialSpec(pairs=pairs)
 
 
-def _monomial_batches(
-    spec: DistributionSpec, d: int, k: int, n_blocks: int, rng: np.random.Generator
-):
-    """Yield batches of (S_k - I_k) deviations of shape (b, k, k)."""
-    done = 0
-    eye = np.eye(k)
-    while done < n_blocks:
-        nb = min(_BATCH, n_blocks - done)
-        z = sample_z(spec, nb * k, rng).reshape(nb, k, d)
-        yield np.einsum("nkd,nld->nkl", z, z) / d - eye
-        done += nb
+def _deviations(
+    spec: DistributionSpec, d: int, k: int, nb: int, rng: np.random.Generator
+) -> np.ndarray:
+    """nb deviations S_k - I_k, each from k fresh vectors: shape (nb, k, k)."""
+    z = sample_z(spec, nb * k, rng).reshape(nb, k, d)
+    return np.einsum("nkd,nld->nkl", z, z) / d - np.eye(k)
 
 
 def estimate_b1a(
@@ -206,13 +201,12 @@ def estimate_b1a(
     if n_blocks < 1000:
         raise InvalidDimensionError("need n_blocks >= 10^3")
     power = 2 * k + 1 + epsilon
-    total = total_sq = 0.0
-    for dev in _monomial_batches(spec, d, k, n_blocks, rng):
-        norms = np.max(np.abs(np.linalg.eigvalsh(math.sqrt(d) * dev)), axis=1)
-        vals = norms**power
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-    return mean_se(total, total_sq, n_blocks)
+
+    def draw(nb):
+        dev = _deviations(spec, d, k, nb, rng)
+        return np.max(np.abs(np.linalg.eigvalsh(math.sqrt(d) * dev)), axis=1) ** power
+
+    return batch_mean_se(n_blocks, _BATCH, draw)
 
 
 def _monomial_values(dev: np.ndarray, G: MonomialSpec) -> np.ndarray:
@@ -240,12 +234,9 @@ def estimate_monomial_mean(
     if G.degree > 2 * k:
         raise InvalidStructureError(f"monomial degree {G.degree} exceeds 2k = {2 * k}")
     scale = d ** (G.degree / 2.0)
-    total = total_sq = 0.0
-    for dev in _monomial_batches(spec, d, k, n_blocks, rng):
-        vals = scale * _monomial_values(dev, G)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-    mean, se = mean_se(total, total_sq, n_blocks)
+    mean, se = batch_mean_se(
+        n_blocks, _BATCH, lambda nb: scale * _monomial_values(_deviations(spec, d, k, nb, rng), G)
+    )
     return mean, se, G.b1b_target()
 
 
@@ -274,12 +265,12 @@ def estimate_b1c(
         )
     k = max(G.max_vertex, H.max_vertex)
     scale = float(d**g)
-    total = total_sq = 0.0
-    for dev in _monomial_batches(spec, d, k, n_blocks, rng):
-        vals = scale * _monomial_values(dev, G) * _monomial_values(dev, H)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-    return mean_se(total, total_sq, n_blocks)
+
+    def draw(nb):
+        dev = _deviations(spec, d, k, nb, rng)
+        return scale * _monomial_values(dev, G) * _monomial_values(dev, H)
+
+    return batch_mean_se(n_blocks, _BATCH, draw)
 
 
 @dataclass
@@ -308,26 +299,21 @@ def prop5_special_cases(
     """
     if n < 10000:
         raise InvalidDimensionError("need n >= 10^4")
-    sums = np.zeros(3)
-    sums_sq = np.zeros(3)
-    done = 0
-    while done < n:
-        nb = min(_BATCH * 8, n - done)
+
+    def draw(nb):
         z1 = sample_z(spec, nb, rng)
         z2 = sample_z(spec, nb, rng)
         q = np.einsum("nd,nd->n", z1, z1)
         t = np.einsum("nd,nd->n", z1, z2)
-        stats = np.stack(
+        return np.stack(
             [
                 (q - d) ** 2 / d - 2.0,
                 t**3 / d,
                 (t**2 - d) ** 2 / d**2 - 2.0 * (1.0 + 3.0 / d),
             ]
         )
-        sums += stats.sum(axis=1)
-        sums_sq += (stats**2).sum(axis=1)
-        done += nb
-    est = [mean_se(float(sums[i]), float(sums_sq[i]), n) for i in range(3)]
+
+    est = list(zip(*batch_mean_se(n, _BATCH * 8, draw)))
     om = moment_oracle(spec)
     analytic = (om.m4 - 3.0, om.m3**2, (om.m4**2 - 9.0) / d)
     return Prop5Cases(case_a=est[0], case_b=est[1], case_c=est[2], analytic=analytic)
@@ -365,48 +351,6 @@ def _canonical_beta(
         details[str(mono.pairs)] = {"estimate": est, "se": se, "target": target, "scaled_dev": dev}
         beta = max(beta, dev)
     return beta, details
-
-
-MAX_REFERENCE_K = 4
-
-
-@dataclass
-class GaussianReference:
-    """Gaussian analogues (alpha*, beta*) of the moment-condition constants."""
-
-    k: int
-    d: int
-    epsilon: float
-    xi: float
-    alpha_star: float
-    alpha_se: float
-    beta_star: float
-    beta_details: dict
-
-
-def gaussian_reference(
-    k: int,
-    d: int,
-    n: int,
-    rng: np.random.Generator,
-) -> GaussianReference:
-    """Estimate (alpha*, beta*) for the standard Gaussian at (k, d), with
-    epsilon = DEFAULT_EPSILON and xi = DEFAULT_XI.
-
-    beta* is reported as the largest |deviation| * d^xi over the canonical
-    monomial family with a defined target; it is an estimate for that family
-    only.
-    """
-    if k > MAX_REFERENCE_K:
-        raise InvalidDimensionError(f"need k <= {MAX_REFERENCE_K}")
-    spec = gaussian(d)
-    alpha_hat, alpha_se = estimate_b1a(spec, d, k, DEFAULT_EPSILON, n, rng)
-    beta, details = _canonical_beta(spec, d, k, n, rng, DEFAULT_XI)
-    return GaussianReference(
-        k=k, d=d, epsilon=DEFAULT_EPSILON, xi=DEFAULT_XI,
-        alpha_star=alpha_hat, alpha_se=alpha_se,
-        beta_star=beta, beta_details=details,
-    )
 
 
 def estimated_constants(

@@ -9,7 +9,6 @@ independent of execution order and worker count.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
@@ -29,8 +28,20 @@ def substream(root_seed: int, label: str, index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(seq))
 
 
-def mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    """Monte Carlo mean and standard error from the running sums of n
-    i.i.d. values and of their squares."""
+def batch_mean_se(n: int, batch: int, draw) -> tuple:
+    """Monte Carlo mean and standard error of n i.i.d. values.
+
+    ``draw(nb)`` returns the next nb values along its last axis; the values
+    are drawn at most ``batch`` at a time and only their sums and sums of
+    squares are kept.  Leading axes hold separate statistics of the same
+    draws, and the mean and SE then have their shape.  Each mean is squared
+    as a scalar, so a statistic's SE is the same bits whether it is drawn
+    alone or beside others.
+    """
+    total = total_sq = 0.0
+    for start in range(0, n, batch):
+        vals = draw(min(batch, n - start))
+        total = total + np.sum(vals, axis=-1)
+        total_sq = total_sq + np.sum(vals**2, axis=-1)
     mean = total / n
-    return mean, math.sqrt(max(total_sq / n - mean**2, 0.0) / n)
+    return mean, np.sqrt(np.maximum(total_sq / n - np.vectorize(pow)(mean, 2), 0.0) / n)

@@ -1,14 +1,23 @@
 """Acceptance suite: every criterion at its pinned tolerance.
 
 Each test prints one pass/fail line; run with ``pytest -s`` to see them.
-The same checks back ``projcond verify --profile full``.
+The same checks back ``projcond verify --profile full``.  Each criterion's
+rows must also equal, field for field as the CSV report prints them, the
+golden file tests/data/criterion_NN.csv, so a refactor that claims to change
+no result is checked against the full profile at the default seed.  The
+golden files were written on x86-64 with NumPy 2.4.6 and OpenBLAS; another
+BLAS can round the last printed digit of a few rows differently.
 """
 
+import csv
 import time
+from pathlib import Path
 
 import pytest
 
 from projcond import acceptance
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(number):
@@ -22,6 +31,9 @@ def _run(number):
     for row in failures:
         print(f"    FAIL {row.params}: estimate={row.estimate} target={row.target} se={row.se}")
     assert not failures
+    with open(DATA / f"criterion_{number:02d}.csv", newline="") as fh:
+        golden = list(csv.reader(fh))[1:]
+    assert [row.csv_fields() for row in rows] == golden
 
 
 def test_criterion_01_density_normalization():

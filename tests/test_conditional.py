@@ -43,17 +43,18 @@ def test_ratio_estimates_match_quadrature(rng_factory):
         assert abs(est.delta_op_norm_hat - vals["dnorm"]) < 4 * est.delta_se
 
 
-def test_gaussian_exactness(rng_factory):
+def test_gaussian_exactness(rng_factory, monkeypatch):
     # the last two cases have an n that is not a multiple of the 20 jackknife
-    # blocks and a batch smaller than one block, so each block accumulates
+    # blocks and a chunk smaller than one block, so each block accumulates
     # chunks of unequal size
     rng = rng_factory("gauss-exact")
     for d, x, n, batch in ((15, [0.2, -0.5, 1.0], 3000, 20000),
                            (5, [0.7, -0.3], 2347, 50),
                            (33, [0.7, -0.3], 2347, 50)):
+        monkeypatch.setattr(cond, "_RATIO_BATCH", batch)
         B = linalg.haar_stiefel(d, len(x), rng)
         x = np.array(x)
-        est = cond._ratio_conditional(dist.gaussian(d), B, x, n, rng, batch=batch)
+        est = cond._ratio_conditional(dist.gaussian(d), B, x, n, rng)
         assert est.h_hat == 1.0 and est.h_se == 0.0
         assert np.max(np.abs(est.mu_hat - B.entries @ x)) == 0.0
         assert est.delta_op_norm_hat == 0.0

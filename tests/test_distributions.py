@@ -79,7 +79,7 @@ def test_log_density_normalizes(rng_factory):
     for spec in ALL_SPECS:
         rng = rng_factory(f"norm-{spec.label}")
         v = rng.standard_normal((200_000, spec.d))
-        log_r = dist.log_density_batch(spec, v) - dist.gaussian_log_density_batch(v)
+        log_r = dist.log_density_batch(spec, v) - dist.log_density_batch(dist.gaussian(spec.d), v)
         r = np.exp(log_r)
         se = r.std() / math.sqrt(len(r))
         assert abs(r.mean() - 1.0) <= 4 * se + 1e-12, spec.label

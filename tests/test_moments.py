@@ -220,13 +220,16 @@ def test_prop5_gaussian_all_zero(rng_factory):
 def test_gaussian_reference_limit_and_stability(rng_factory):
     # k=1 limit: E|N(0,2)|^3.5 = 2^(7/4) E|N(0,1)|^3.5
     limit = 2.0**1.75 * 2.0**1.75 * math.gamma(2.25) / math.sqrt(math.pi)
-    ref_hi = mo.gaussian_reference(1, 3200, 30_000, rng_factory("gref-hi"))
-    assert abs(ref_hi.alpha_star - limit) < 4 * ref_hi.alpha_se + 0.05 * limit
-    ref_a = mo.gaussian_reference(2, 200, 15_000, rng_factory("gref-a"))
-    ref_b = mo.gaussian_reference(2, 800, 15_000, rng_factory("gref-b"))
-    joint = math.sqrt(ref_a.alpha_se**2 + ref_b.alpha_se**2)
-    assert abs(ref_a.alpha_star - ref_b.alpha_star) < 4 * joint + 0.05 * ref_a.alpha_star
-    assert ref_a.beta_star >= 0.0 and ref_a.beta_details
+
+    def alpha_star(k, d, n, label):
+        return mo.estimate_b1a(dist.gaussian(d), d, k, mo.DEFAULT_EPSILON, n, rng_factory(label))
+
+    a_hi, se_hi = alpha_star(1, 3200, 30_000, "gref-hi")
+    assert abs(a_hi - limit) < 4 * se_hi + 0.05 * limit
+    a_lo, se_lo = alpha_star(2, 200, 15_000, "gref-a")
+    a_mid, se_mid = alpha_star(2, 800, 15_000, "gref-b")
+    joint = math.sqrt(se_lo**2 + se_mid**2)
+    assert abs(a_lo - a_mid) < 4 * joint + 0.05 * a_lo
 
 
 def test_estimated_constants_bundle(rng_factory):
