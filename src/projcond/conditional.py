@@ -1,23 +1,26 @@
 """Monte Carlo estimation of conditional moments given a projection.
 
-Two inner engines are provided.
+For the Gaussian the conditional moments are known exactly:
+E[Z | B'Z = x] = Bx and E[ZZ' | B'Z = x] = I + B(xx' - I)B'.  The
+deviation estimators (``deviation_probability``, ``g_membership``) return
+that exact answer for the Gaussian without drawing, and run the kernel
+engine for every other law.  Two inner engines are provided.
 
-* ``ratio``: the change-of-measure estimator.  Draws W = Bx + (I - BB')V
-  with V standard Gaussian and weighs by f(W)/phi(W).  The Gaussian-exact
-  moments of V (E V = 0, E VV' = I) are used as control variates, so for the
-  Gaussian law the estimates collapse to their exact values (h = 1,
-  mu = Bx, Delta = 0) with zero variance.  The weighted and unweighted
-  second-moment sums go through the same GEMM with the same shapes, so a
-  ratio identically 1 cancels bitwise.  The weight has bounded-support
-  collapse in high dimension for the compactly supported marginals (the
-  support hit probability decays geometrically in d), so this engine is
-  meant for exact checks at small d and for the Gaussian at any d.
+* ``ratio`` (``conditional_estimates``): the change-of-measure estimator
+  for pointwise checks.  Draws W = Bx + (I - BB')V with V standard Gaussian
+  and weighs by f(W)/phi(W).  The Gaussian-exact moments of V (E V = 0,
+  E VV' = I) are used as control variates, so for the Gaussian law the
+  estimates collapse to their exact values (h = 1, mu = Bx, Delta = 0) with
+  zero variance.  The weighted and unweighted second-moment sums go through
+  the same GEMM with the same shapes, so a ratio identically 1 cancels
+  bitwise.  The weight has bounded-support collapse in high dimension for
+  the compactly supported marginals (the support hit probability decays
+  geometrically in d), so this engine is meant for exact checks at small d.
 
 * ``kernel``: forward sampling plus kernel regression on the projected
   coordinate.  Draws a pool Z_i ~ f, weighs by a Gaussian kernel in
   B'Z_i - x, and reports Nadaraya-Watson moments.  Dimension enters only
-  through the averaging, so this engine scales to d in the hundreds and is
-  the default for non-Gaussian laws.
+  through the averaging, so this engine scales to d in the hundreds.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class ConditionalEstimates:
     h_se: float
     mu_hat: np.ndarray
     mu_se: np.ndarray
-    delta_op_norm_hat: float | None
-    delta_se: float | None
+    delta_op_norm_hat: float
+    delta_se: float
     n_inner: int
 
 
@@ -70,7 +73,6 @@ def _ratio_conditional(
     x,
     n: int,
     rng: np.random.Generator,
-    second_moment: bool = True,
 ) -> ConditionalEstimates:
     B = as_stiefel(B)
     d, p = B.d, B.p
@@ -86,8 +88,8 @@ def _ratio_conditional(
     s_r2 = np.zeros(nblocks)
     s_v = np.zeros((nblocks, d))
     s_vr = np.zeros((nblocks, d))
-    s_vv = np.zeros((nblocks, d, d)) if second_moment else None
-    s_vvr = np.zeros((nblocks, d, d)) if second_moment else None
+    s_vv = np.zeros((nblocks, d, d))
+    s_vvr = np.zeros((nblocks, d, d))
 
     for blk, size in enumerate(sizes):
         done = 0
@@ -104,9 +106,8 @@ def _ratio_conditional(
             # sums, so a constant ratio cancels bitwise in the control variate
             s_v[blk] += ones @ v
             s_vr[blk] += r @ v
-            if second_moment:
-                s_vv[blk] += _weighted_gram(ones, v)
-                s_vvr[blk] += _weighted_gram(r, v)
+            s_vv[blk] += _weighted_gram(ones, v)
+            s_vvr[blk] += _weighted_gram(r, v)
             done += nb
 
     def assemble(mask):
@@ -118,15 +119,12 @@ def _ratio_conditional(
         m_vec = (s_vr[mask].sum(axis=0) - rbar * s_v[mask].sum(axis=0)) / (nn * h)
         m_perp = m_vec - b @ (b.T @ m_vec)
         mu = bx + m_perp
-        delta_norm = None
-        if second_moment:
-            d_mat = (s_vvr[mask].sum(axis=0) - rbar * s_vv[mask].sum(axis=0)) / (nn * h)
-            p_d_p = d_mat - b @ (b.T @ d_mat)
-            p_d_p = p_d_p - (p_d_p @ b) @ b.T
-            delta = np.outer(bx, m_perp) + np.outer(m_perp, bx) + p_d_p
-            delta = 0.5 * (delta + delta.T)
-            delta_norm = spectral_norm(delta)
-        return h, mu, delta_norm
+        d_mat = (s_vvr[mask].sum(axis=0) - rbar * s_vv[mask].sum(axis=0)) / (nn * h)
+        p_d_p = d_mat - b @ (b.T @ d_mat)
+        p_d_p = p_d_p - (p_d_p @ b) @ b.T
+        delta = np.outer(bx, m_perp) + np.outer(m_perp, bx) + p_d_p
+        delta = 0.5 * (delta + delta.T)
+        return h, mu, spectral_norm(delta)
 
     full_mask = np.ones(nblocks, dtype=bool)
     h_hat, mu_hat, delta_hat = assemble(full_mask)
@@ -145,7 +143,7 @@ def _ratio_conditional(
                 usable = False
                 break
             mus[blk] = mu_b
-            deltas[blk] = del_b if second_moment else 0.0
+            deltas[blk] = del_b
     if usable:
         fac = (nblocks - 1) / nblocks
         mu_se = np.sqrt(fac * np.sum((mus - mus.mean(axis=0)) ** 2, axis=0))
@@ -153,14 +151,16 @@ def _ratio_conditional(
     else:
         mu_se = np.full(d, np.nan)
         delta_se = float("nan")
+    if mu_hat is None:  # no draw hit the support
+        mu_hat, delta_hat = np.full(d, np.nan), float("nan")
 
     return ConditionalEstimates(
         h_hat=h_hat,
         h_se=h_se,
-        mu_hat=mu_hat if mu_hat is not None else np.full(d, np.nan),
+        mu_hat=mu_hat,
         mu_se=mu_se,
-        delta_op_norm_hat=delta_hat if second_moment else None,
-        delta_se=delta_se if second_moment else None,
+        delta_op_norm_hat=delta_hat,
+        delta_se=delta_se,
         n_inner=n,
     )
 
@@ -168,7 +168,7 @@ def _ratio_conditional(
 def conditional_estimates(
     spec: DistributionSpec, B, x, n: int, rng: np.random.Generator
 ) -> ConditionalEstimates:
-    return _ratio_conditional(spec, B, x, n, rng, second_moment=True)
+    return _ratio_conditional(spec, B, x, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +413,6 @@ def kernel_delta_norm(pool: ForwardPool, x):
 # deviation probabilities and the good-set membership test
 
 
-def _resolve_engine(spec: DistributionSpec) -> str:
-    """The ratio engine is exact for the Gaussian; every other law takes the
-    kernel engine, which scales to large d."""
-    return "ratio" if spec.family == "gaussian" else "kernel"
-
-
 @dataclass
 class DeviationProbability:
     """Estimated P(||mu_hat - Bx|| > t) and P(||Delta_hat|| > t).
@@ -436,7 +430,6 @@ class DeviationProbability:
     noise_floor_mu: float
     n_outer: int
     n_inner: int
-    engine: str
 
 
 def deviation_probability(
@@ -450,39 +443,32 @@ def deviation_probability(
 ) -> DeviationProbability:
     """Outer-loop deviation frequencies for the conditional mean/variance.
 
-    Each outer draw sets x = B'Z for a fresh Z; the inner engine estimates
+    Each outer draw sets x = B'Z for a fresh Z; the kernel engine estimates
     mu and Delta at that x, and the indicator of a deviation beyond t is
-    averaged.
+    averaged.  For the Gaussian both deviations are exactly 0 at every x,
+    so the frequencies are 1 for t < 0 and 0 otherwise, with nothing drawn.
     """
     if n_outer < 100:
         raise InvalidDimensionError("need n_outer >= 10^2")
     if n_inner < 1000:
         raise InvalidDimensionError("need n_inner >= 10^3")
     B = as_stiefel(B)
-    engine = _resolve_engine(spec)
-    b = B.entries
-    z_outer = sample_z(spec, n_outer, rng)
-    xs = z_outer @ b
-
-    pool = None
-    if engine == "kernel":
-        pool = build_pool(spec, B, n_pool=n_inner, rng=rng, bandwidth=bandwidth)
+    if spec.family == "gaussian":
+        hit = float(0.0 > t)
+        return DeviationProbability(
+            t=t, mean_prob=hit, mean_se=0.0, var_prob=hit, var_se=0.0,
+            noise_floor_mu=0.0, n_outer=n_outer, n_inner=n_inner,
+        )
+    xs = sample_z(spec, n_outer, rng) @ B.entries
+    pool = build_pool(spec, B, n_pool=n_inner, rng=rng, bandwidth=bandwidth)
 
     mean_hits = 0
     var_hits = 0
     noise_acc = 0.0
-    for j in range(n_outer):
-        x = xs[j]
-        if engine == "ratio":
-            est = _ratio_conditional(spec, B, x, n_inner, rng)
-            dev_mu = float(np.linalg.norm(est.mu_hat - b @ x))
-            dev_delta = est.delta_op_norm_hat
-            noise = float(np.linalg.norm(est.mu_se))
-        else:
-            dev_mu, noise = kernel_mu_deviation(pool, x)
-            dev_delta = kernel_delta_norm(pool, x)
+    for x in xs:
+        dev_mu, noise = kernel_mu_deviation(pool, x)
         mean_hits += dev_mu > t
-        var_hits += dev_delta > t
+        var_hits += kernel_delta_norm(pool, x) > t
         noise_acc += noise
 
     mean_p = mean_hits / n_outer
@@ -500,7 +486,6 @@ def deviation_probability(
         noise_floor_mu=noise_acc / n_outer,
         n_outer=n_outer,
         n_inner=n_inner,
-        engine=engine,
     )
 
 
@@ -510,7 +495,7 @@ class GMembershipReport:
 
     member is the point-estimate rule integral_hat <= delta_d; the standard
     error is reported alongside.  When M_d <= 1 the good set is the whole
-    manifold and membership holds unconditionally.
+    manifold and membership holds unconditionally; n_x counts the x's drawn.
     """
 
     M_d: float
@@ -519,7 +504,6 @@ class GMembershipReport:
     integral_se: float
     member: bool
     n_x: int
-    engine: str
 
 
 def g_membership(
@@ -538,7 +522,8 @@ def g_membership(
     ||x|| <= M_d is estimated by rejection-sampled Gaussian x's; the
     ball probability rescales the conditional mean.  tau1 and tau2 come
     from the balanced tuning given tau and xi_1 = 1/6 (part A at the default
-    moment constants); tau1 can be overridden.
+    moment constants); tau1 can be overridden.  For the Gaussian
+    mu_(x|B) = Bx exactly, so the integral is 0 with nothing drawn.
     """
     from scipy.stats import chi2
 
@@ -552,11 +537,10 @@ def g_membership(
     tau1 = t1_default if tau1 is None else tau1
     m_d = math.sqrt(tau1 * math.log(d) / gamma)
     delta_d = d ** (-tau2)
-    engine = _resolve_engine(spec)
-    if m_d <= 1.0:
+    if m_d <= 1.0 or spec.family == "gaussian":
         return GMembershipReport(
             M_d=m_d, delta_d=delta_d, integral_hat=0.0, integral_se=0.0,
-            member=True, n_x=0, engine=engine,
+            member=True, n_x=0,
         )
 
     ball_prob = float(chi2.cdf(m_d**2, df=p))
@@ -569,23 +553,14 @@ def g_membership(
         xs[got: got + take] = keep[:take]
         got += take
 
-    pool = build_pool(spec, B, n_pool=n_inner, rng=rng) if engine == "kernel" else None
-    b = B.entries
+    pool = build_pool(spec, B, n_pool=n_inner, rng=rng)
     vals = np.empty(n_x)
-    for j in range(n_x):
-        x = xs[j]
-        if engine == "ratio":
-            est = _ratio_conditional(spec, B, x, n_inner, rng, second_moment=False)
-            h_val = est.h_hat
-            dev_sq = float(np.sum((est.mu_hat - b @ x) ** 2))
-        else:
-            h_val = kernel_h(pool, x)
-            dev, _ = kernel_mu_deviation(pool, x)
-            dev_sq = dev**2
-        vals[j] = dev_sq * h_val**2
+    for j, x in enumerate(xs):
+        dev, _ = kernel_mu_deviation(pool, x)
+        vals[j] = dev**2 * kernel_h(pool, x) ** 2
     integral = ball_prob * float(np.mean(vals))
     se = ball_prob * float(np.std(vals)) / math.sqrt(n_x)
     return GMembershipReport(
         M_d=m_d, delta_d=delta_d, integral_hat=integral, integral_se=se,
-        member=bool(integral <= delta_d), n_x=n_x, engine=engine,
+        member=bool(integral <= delta_d), n_x=n_x,
     )

@@ -104,10 +104,14 @@ def _integer(v) -> int:
 
 
 def _real(v) -> float:
-    """float(v), refusing a boolean, which float() would read as 1.0 or 0.0."""
+    """float(v), refusing a boolean, which float() would read as 1.0 or 0.0,
+    and a NaN or an infinity, which float() also reads from a string."""
     if isinstance(v, bool):
         raise TypeError("expected a number, got a boolean")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def int_list(v) -> tuple[int, ...]:
@@ -132,10 +136,14 @@ def optional_float(v) -> float | None:
 
 
 def spec_object(v) -> dict:
-    """A distribution-spec object without a d, checked with a stand-in d;
-    the runner fills in the experiment's d."""
-    if "d" in v:
-        raise ValueError("give d beside spec, not inside it")
+    """A distribution-spec object of the keys family and marginal, checked
+    with a stand-in d; the runner fills in the experiment's d."""
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a JSON object, got {type(v).__name__}")
+    unknown = sorted(set(v) - {"family", "marginal"})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; a spec holds family and marginal, "
+                         "and d is given beside it")
     distributions.DistributionSpec.from_json({"d": 1, **v})
     return v
 
@@ -159,6 +167,14 @@ RANGES = {
     "tau": (lambda a: 0 < a["tau"] < 1, "need 0 < tau < 1"),
     "eps_grid": (lambda a: len(set(a["eps_grid"])) >= 2 and all(e > 0 for e in a["eps_grid"]),
                  "need at least 2 distinct values, all > 0"),
+    # g-membership's n_inner is one pool size, not keyed by d
+    "n_inner": (lambda a: not isinstance(a["n_inner"], dict) or set(a["n_inner"]) <= set(a["d_list"]),
+                "need every key to be a d of d_list"),
+    "bandwidths": (lambda a: set(a["bandwidths"]) <= set(a["d_list"])
+                   and all(h > 0 for h in a["bandwidths"].values()),
+                   "need every key to be a d of d_list and every bandwidth > 0"),
+    "tau1": (lambda a: a["tau1"] is None or a["tau1"] > 0, "need tau1 > 0"),
+    "D": (lambda a: a["D"] >= 1, "need D >= 1"),
 }
 
 

@@ -121,6 +121,39 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
       "constants": {"alpha": True, "alhpa": 3}}, "'constants'"),
     ({"experiment": "asymptotic-scan", "constants": {"alhpa": 3}}, "'constants'"),
+    # g-membership: tau1 and D would reach math.log of a value <= 0, or run
+    # every frame before the moment constants refuse D < 1
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": -1.0}, "'tau1'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": 0}, "'tau1'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "D": 0}, "'D'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "D": -2.0}, "'D'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "D": 0.5}, "'D'"),
+    # non-finite numbers, as JSON NaN / Infinity or as numeric strings
+    ({"experiment": "conditional-linearity", "t": float("nan")}, "'t'"),
+    ({"experiment": "conditional-linearity", "t": "nan"}, "'t'"),
+    ({"experiment": "theorem-bound", "d": "inf", "p": 1, "tau": 0.5}, "'d'"),
+    ({"experiment": "clone-density-check", "d": 30, "p": 1, "k": 1,
+      "x_norms": [0.0, float("inf")]}, "'x_norms'"),
+    ({"experiment": "asymptotic-scan", "log_d_grid": [1e3, "-Infinity"]}, "'log_d_grid'"),
+    ({"experiment": "conditional-linearity", "bandwidths": {"32": float("inf")}},
+     "'bandwidths'"),
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": float("nan")},
+     "'tau1'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
+      "constants": {"alpha": float("inf")}}, "'constants'"),
+    # conditional-linearity: keys outside d_list and bandwidths <= 0
+    ({"experiment": "conditional-linearity", "d_list": [16], "n_inner": {"17": 2000}},
+     "'n_inner'"),
+    ({"experiment": "conditional-linearity", "d_list": [16], "bandwidths": {"17": 0.3}},
+     "'bandwidths'"),
+    ({"experiment": "conditional-linearity", "d_list": [16], "bandwidths": {"16": 0}},
+     "'bandwidths'"),
+    ({"experiment": "conditional-linearity", "d_list": [16], "bandwidths": {"16": -0.2}},
+     "'bandwidths'"),
+    # spec objects hold family and marginal only
+    ({"experiment": "g-membership", "spec": {"family": "gaussian", "foo": 1}}, "'spec'"),
+    ({"experiment": "prop5-cases", "spec": {"family": "iid-marginal", "marginal": "uniform",
+                                            "marginl": "exponential"}}, "'spec'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
