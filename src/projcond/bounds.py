@@ -39,6 +39,8 @@ def xi_effective(xi: float, epsilon: float, part: str) -> float:
 def gamma_constant(g: float, D: float, part: str) -> float:
     """Tail constant: max{g, 6 + 2 log(2 D sqrt(pi e))} for part A and
     max{g, 10 + 4 log(2 D sqrt(pi e))} for part B."""
+    if not D > 0.0:
+        raise InvalidDimensionError("need D > 0")
     ld = LOG_2_SQRT_PI_E + math.log(D)
     if part == PART_A:
         return max(g, 6.0 + 2.0 * ld)
@@ -92,8 +94,8 @@ class TheoremBoundInputs:
 
     def __post_init__(self):
         _check_part(self.part)
-        if not self.p < self.d:
-            raise InvalidDimensionError("need p < d")
+        if not 1 <= self.p < self.d:
+            raise InvalidDimensionError("need 1 <= p < d")
         if not 0.0 < self.tau < 1.0:
             raise InvalidDimensionError("tau must lie in (0, 1)")
         if self.kappa < 0.0:

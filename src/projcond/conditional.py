@@ -398,11 +398,10 @@ def kernel_delta_norm(pool: ForwardPool, x):
     for _, block in _window_blocks(pool.z, rows, np.sqrt(w, dtype=np.float32)):
         gram += block.T @ block
     delta = gram / sw - np.eye(d) - b @ shift @ b.T
-    if d <= 256:
-        return spectral_norm(delta)
-    # a fixed start vector keeps the result reproducible for a fixed pool
-    # and x; it is drawn at random once, since a structured one (such as
-    # all ones) can be orthogonal to the top eigenvector
+    # one eigen path at every d: eigsh with a fixed start vector, which
+    # keeps the result reproducible for a fixed pool and x; it is drawn at
+    # random once, since a structured one (such as all ones) can be
+    # orthogonal to the top eigenvector
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, d)
     vals = eigsh(delta, k=1, which="LM", tol=1e-4, return_eigenvectors=False,
                  maxiter=500, v0=v0)
@@ -533,6 +532,8 @@ def g_membership(
         raise InvalidDimensionError("need d >= 3 so that log d > 1")
     if n_x < 100:
         raise InvalidDimensionError("need n_x >= 100")
+    if tau1 is not None and not tau1 > 0.0:
+        raise InvalidDimensionError("need tau1 > 0")
     t1_default, tau2 = balanced_tuning(tau, _XI_EFF, PART_A)
     tau1 = t1_default if tau1 is None else tau1
     m_d = math.sqrt(tau1 * math.log(d) / gamma)

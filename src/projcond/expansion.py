@@ -255,7 +255,7 @@ class PolynomialPsi:
     coeffs: dict
 
     def evaluate(self, S) -> float:
-        s = np.asarray(S.entries if hasattr(S, "entries") else S, dtype=float)
+        s = np.asarray(S, dtype=float)
         return poly_eval(self.coeffs, s - np.eye(self.k))
 
     @property
@@ -284,7 +284,7 @@ def psi_eval(x, S, d: int, p: int) -> float:
     averages; agrees with psi_poly(...).evaluate(S) by permutation
     covariance, through an independent code path.
     """
-    s = np.asarray(S.entries if hasattr(S, "entries") else S, dtype=float)
+    s = np.asarray(S, dtype=float)
     k = s.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xsq = float(x @ x)
@@ -306,7 +306,7 @@ def remainder_diagnostic(x, S, d: int, p: int):
     shape is p^(k+1) M^(2(k+2)) e^(k M^2 / 2) ||S - I||^(k+1) (unit constant,
     the caller supplies its own multiplicative constant).
     """
-    s = np.asarray(S.entries if hasattr(S, "entries") else S, dtype=float)
+    s = np.asarray(S, dtype=float)
     k = s.shape[0]
     xi = default_xi(k)
     dev = spectral_norm(s - np.eye(k))

@@ -335,22 +335,18 @@ def canonical_monomials(k: int) -> list[MonomialSpec]:
 
 def _canonical_beta(
     spec: DistributionSpec, d: int, k: int, n_blocks: int, rng: np.random.Generator, xi: float
-) -> tuple[float, dict]:
+) -> float:
     """Largest scaled deviation |E G - target| d^xi over the canonical family
-    (monomials on at most k vertices with a defined target), with the
-    per-monomial estimates keyed by their pairs."""
-    details = {}
+    (monomials on at most k vertices with a defined target)."""
     beta = 0.0
     for mono in canonical_monomials(k):
         if mono.max_vertex > k:
             continue
-        est, se, target = estimate_monomial_mean(spec, d, mono, n_blocks, rng, k=k)
+        est, _, target = estimate_monomial_mean(spec, d, mono, n_blocks, rng, k=k)
         if target is None:
             continue
-        dev = abs(est - target) * d**xi
-        details[str(mono.pairs)] = {"estimate": est, "se": se, "target": target, "scaled_dev": dev}
-        beta = max(beta, dev)
-    return beta, details
+        beta = max(beta, abs(est - target) * d**xi)
+    return beta
 
 
 def estimated_constants(
@@ -368,7 +364,7 @@ def estimated_constants(
     max(1, marginal density bound).
     """
     alpha_hat, _ = estimate_b1a(spec, d, k, DEFAULT_EPSILON, n_blocks, rng)
-    beta, _ = _canonical_beta(spec, d, k, n_blocks, rng, DEFAULT_XI)
+    beta = _canonical_beta(spec, d, k, n_blocks, rng, DEFAULT_XI)
     density_sup = moment_oracle(spec).density_sup
     return MomentConditionConstants(
         epsilon=DEFAULT_EPSILON,

@@ -102,6 +102,9 @@ def test_theorem_input_validation():
         bounds.TheoremBoundInputs(d=10, p=1, t=-1.0, tau=0.5, constants=CONS)
     with pytest.raises(InvalidDimensionError):
         bounds.TheoremBoundInputs(d=10, p=1, t=1.0, tau=0.5, constants=CONS, part="C")
+    # p = 0 would reach math.log(p) in the bound
+    with pytest.raises(InvalidDimensionError, match="1 <= p"):
+        bounds.TheoremBoundInputs(d=1e6, p=0, t=1.0, tau=0.5, constants=CONS)
 
 
 def test_applicability_thresholds():
@@ -145,3 +148,7 @@ def test_gamma_constant_parts():
     assert bounds.gamma_constant(1.0, 1.0, "B") == pytest.approx(10 + 4 * ld)
     assert bounds.gamma_constant(100.0, 1.0, "A") == 100.0
     assert bounds.gamma_constant(1.0, 2.0, "B") == pytest.approx(10 + 4 * (ld + math.log(2)))
+    # D <= 0 would reach math.log(D)
+    for D in (0.0, -2.0):
+        with pytest.raises(InvalidDimensionError, match="D > 0"):
+            bounds.gamma_constant(1.0, D, "A")

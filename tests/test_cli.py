@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcond import acceptance, linalg
-from projcond.cli import main
+from projcond.cli import build_parser, main
 from projcond.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -154,6 +154,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "g-membership", "spec": {"family": "gaussian", "foo": 1}}, "'spec'"),
     ({"experiment": "prop5-cases", "spec": {"family": "iid-marginal", "marginal": "uniform",
                                             "marginl": "exponential"}}, "'spec'"),
+    # theorem-bound values that would reach the bound arithmetic as NaN,
+    # log(0) or an infinite threshold
+    ({"experiment": "theorem-bound", "d": 1e6, "p": 2, "t": 1, "tau": 0.5,
+      "kappa": float("nan")}, "'kappa'"),
+    ({"experiment": "theorem-bound", "d": 1e6, "p": 0, "t": 1, "tau": 0.5}, "'p'"),
+    ({"experiment": "theorem-bound", "d": 1e6, "p": 2, "t": float("inf"), "tau": 0.5}, "'t'"),
+    # a keyed n_inner below the library's 10^3 for a later d exits before
+    # the first d's frames run
+    ({"experiment": "conditional-linearity", "d_list": [16, 24], "n_frames": 3,
+      "n_inner": {"16": 20000, "24": 500}}, "'n_inner'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -211,26 +221,39 @@ def test_unknown_experiment_exit_code(tmp_path):
     assert main(["run", cfg]) == 2
 
 
-def test_bound_command(capsys):
-    assert main(["bound", "--part", "A", "--d", "1e6", "--p", "2",
-                 "--t", "1", "--tau", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "vacuous" in out and "xi_eff" in out
+def test_theorem_bound_run(tmp_path):
+    # the closed-form bounds are a run of a theorem-bound config; its two
+    # rows carry the deviation and nu(G^c) bounds with xi_eff, gamma and
+    # the vacuous / informative tags
+    cfg = _write(tmp_path, "bound.json", {
+        "experiment": "theorem-bound", "part": "A", "d": 1e6, "p": 2, "t": 1, "tau": 0.5,
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "bound")]) == 0
+    dev, nu = [ln.split(",") for ln in
+               (tmp_path / "bound.csv").read_text().strip().splitlines()[1:]]
+    assert "xi_eff=0.1667;gamma=9.5310;vacuous" in dev[1]
+    assert "nu_gc;vacuous" in nu[1]
+    assert float(dev[2]) == pytest.approx(5.83526, rel=1e-5)
 
 
-def test_scan_command(tmp_path, capsys):
+def test_asymptotic_scan_run(tmp_path):
     cfg = _write(tmp_path, "scan.json", {
-        "p": 2, "part": "A", "tau": 0.5,
+        "experiment": "asymptotic-scan", "p": 2, "part": "A", "tau": 0.5,
         "log_d_grid": [1e3, 1e4, 1e5, 1e6],
     })
-    assert main(["scan", cfg, "--out", str(tmp_path / "scan")]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "scan")]) == 0
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert any("below-1e-3" in ln for ln in lines)
-    # scan reads its config as run does
-    cfg = _write(tmp_path, "list.json", [{"p": 2}])
-    assert main(["scan", cfg, "--out", str(tmp_path / "bad")]) == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_verify_seed_follows_the_config_rule(tmp_path, capsys, seed):
+    # verify's --seed is read as run's top-level seed: a whole number >= 0,
+    # refused with exit 2 naming seed before any check runs
+    assert main(["verify", "--seed", seed, "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error") and "'config'" in err
+    assert err.startswith("configuration error") and "'seed'" in err
+    assert not (tmp_path / "v.csv").exists()
 
 
 def test_verify_smoke(tmp_path, capsys):
@@ -327,6 +350,20 @@ def test_smoke_report_matches_golden(tmp_path):
     out = tmp_path / "smoke"
     assert main(["verify", "--profile", "smoke", "--out", str(out)]) == 0
     assert (tmp_path / "smoke.csv").read_bytes() == (DATA / "smoke.csv").read_bytes()
+
+
+def test_readme_cli_block_parses():
+    # every command line of the README's CLI block is one the parser takes,
+    # so the docs cannot show a subcommand or option that is gone
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [ln.split("#", 1)[0].split() for ln in block.splitlines()
+                if ln.startswith("projcond ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command in ("run", "verify"), argv
 
 
 def test_readme_lists_every_field():

@@ -186,14 +186,14 @@ def test_deviation_probability_kernel_small_threshold(rng_factory):
 
 
 def test_kernel_delta_norm_reproducible_on_eigsh_path(rng_factory):
-    # d > 256 takes the iterative eigen-solve, whose start vector is fixed
+    # the iterative eigen-solve runs at every d, and its start vector is fixed
     rng = rng_factory("eigsh-repro")
-    d = 300
-    spec = dist.iid_marginal("uniform", d)
-    pool = cond.build_pool(spec, linalg.haar_stiefel(d, 1, rng), 4000, rng)
-    x = np.array([0.3])
-    first = cond.kernel_delta_norm(pool, x)
-    assert all(cond.kernel_delta_norm(pool, x) == first for _ in range(3))
+    for d in (32, 300):
+        spec = dist.iid_marginal("uniform", d)
+        pool = cond.build_pool(spec, linalg.haar_stiefel(d, 1, rng), 4000, rng)
+        x = np.array([0.3])
+        first = cond.kernel_delta_norm(pool, x)
+        assert all(cond.kernel_delta_norm(pool, x) == first for _ in range(3))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -275,7 +275,8 @@ def test_build_pool_sorts_like_a_copy(rng_factory, p):
 def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
     # a hand-built sorted pool whose window at x = 0 weighs exactly m rows:
     # the whole band at p = 1, scattered rows of the band at p = 2; the
-    # blocked weighted Gram and mean match one-shot float64 sums
+    # blocked weighted Gram and mean match one-shot float64 sums, and the
+    # eigsh norm matches a float64 eigvalsh of the reference deviation
     rng = rng_factory("window-blocks", 10 * m + p)
     d, n_far = 12, 3000
     radius = np.concatenate([rng.uniform(0.0, 1.9, m), rng.uniform(5.0, 8.0, n_far)])
@@ -389,6 +390,20 @@ def test_g_membership_regimes(rng_factory):
     assert rep_u.n_x == 100 and rep_u.M_d > 1.0
     assert rep_u.integral_hat > 0.0 and rep_u.integral_se > 0.0
     assert rep_u.member == (rep_u.integral_hat <= rep_u.delta_d)
+
+
+def test_g_membership_refuses_nonpositive_tau1(rng_factory):
+    # tau1 <= 0 would reach math.sqrt of a negative number in M_d
+    from projcond.errors import InvalidDimensionError
+
+    rng = rng_factory("gmem-tau1")
+    spec = dist.iid_marginal("uniform", 40)
+    B = linalg.haar_stiefel(40, 1, rng)
+    gamma = bounds.gamma_constant(1.0, 1.0, "A")
+    for tau1 in (-1.0, 0.0):
+        with pytest.raises(InvalidDimensionError, match="tau1 > 0"):
+            cond.g_membership(spec, B, tau=0.5, gamma=gamma, n_x=100, n_inner=1000,
+                              rng=rng, tau1=tau1)
 
 
 def test_balanced_tuning_balances():
