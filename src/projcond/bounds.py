@@ -1,22 +1,23 @@
 """Closed-form deviation bounds and their asymptotic behaviour.
 
-Everything here is scalar arithmetic, carried out in the log domain so that
-formula-level scans can run at astronomically large dimensions (the scans
-take log d as the grid variable).  The multiplicative constants kappa and g
-are not pinned down by the theory; defaults of 1 are used and every reported
-bound is to be read "up to those constants".  Bounds >= 1 carry no
-information and are flagged vacuous.
+Everything here is scalar arithmetic, carried out in the log domain by one
+evaluator, so that formula-level scans can run at astronomically large
+dimensions (a scan holds p fixed and takes log d as the grid variable).  The
+multiplicative constants kappa and g are not pinned down by the theory;
+defaults of 1 are used and every reported bound is to be read "up to those
+constants".  Bounds >= 1 carry no information and are flagged vacuous.
+Functions here evaluate and refuse malformed input; judging a scan (do the
+bounds fall, and how far) is left to the reports, through bounds_decrease.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import GrowthConditionViolatedError, InvalidDimensionError, ProjcondError
+from .errors import InvalidDimensionError
 from .moments import MomentConditionConstants
 
 LOG_2_SQRT_PI_E = math.log(2.0) + 0.5 * (math.log(math.pi) + 1.0)  # log(2 sqrt(pi e))
@@ -116,10 +117,12 @@ class TheoremBoundResult:
     log_nu_gc_bound: float
 
 
-def _log_theorem_parts(
+def _evaluate(
     log_d: float, p: int, t: float, tau: float,
     constants: MomentConditionConstants, kappa: float, g: float, part: str,
-) -> tuple[float, float, float, float]:
+) -> TheoremBoundResult:
+    """Both bounds at log d, evaluated in the log domain and exponentiated
+    only where exp cannot overflow."""
     xi_eff = xi_effective(constants.xi, constants.epsilon, part)
     gamma = gamma_constant(g, constants.D, part)
     c = _PART_SCALE[part]
@@ -127,7 +130,7 @@ def _log_theorem_parts(
     log_second = (
         math.log(gamma) - math.log(1.0 - tau) + math.log(p) - math.log(c * xi_eff * log_d)
     )
-    log_dev = np.logaddexp(log_first, log_second)
+    log_dev = float(np.logaddexp(log_first, log_second))
     log_nu = -tau * xi_eff * (1.0 - (gamma / tau) * p / (xi_eff * log_d)) * log_d
     if kappa > 0:
         log_nu += math.log(kappa)
@@ -135,7 +138,16 @@ def _log_theorem_parts(
         log_nu = -math.inf
     if part == PART_B:
         log_nu += math.log(2.0)
-    return xi_eff, gamma, float(log_dev), float(log_nu)
+    return TheoremBoundResult(
+        xi_eff=xi_eff,
+        gamma=gamma,
+        deviation_bound=math.exp(log_dev) if log_dev < 700 else math.inf,
+        nu_gc_bound=math.exp(log_nu) if log_nu < 700 else math.inf,
+        deviation_vacuous=log_dev >= 0.0,
+        nu_gc_vacuous=log_nu >= 0.0,
+        log_deviation_bound=log_dev,
+        log_nu_gc_bound=log_nu,
+    )
 
 
 def theorem_bound(inputs: TheoremBoundInputs) -> TheoremBoundResult:
@@ -145,22 +157,9 @@ def theorem_bound(inputs: TheoremBoundInputs) -> TheoremBoundResult:
     and nu_gc_bound = kappa d^(-tau xi_eff (1 - (gamma/tau) p/(xi_eff log d)))
     with c = 3, kappa weight 1 for part A and c = 5, weight 2 for part B.
     """
-    log_d = math.log(inputs.d)
-    xi_eff, gamma, log_dev, log_nu = _log_theorem_parts(
-        log_d, inputs.p, inputs.t, inputs.tau,
+    return _evaluate(
+        math.log(inputs.d), inputs.p, inputs.t, inputs.tau,
         inputs.constants, inputs.kappa, inputs.g, inputs.part,
-    )
-    dev = math.exp(log_dev) if log_dev < 700 else math.inf
-    nu = math.exp(log_nu) if log_nu < 700 else math.inf
-    return TheoremBoundResult(
-        xi_eff=xi_eff,
-        gamma=gamma,
-        deviation_bound=dev,
-        nu_gc_bound=nu,
-        deviation_vacuous=bool(log_dev >= 0.0),
-        nu_gc_vacuous=bool(log_nu >= 0.0),
-        log_deviation_bound=log_dev,
-        log_nu_gc_bound=log_nu,
     )
 
 
@@ -182,83 +181,32 @@ def applicability_thresholds(d: float, p: int, k: int, M: float):
     return bool(d > max(t1, t2, t3)), margins
 
 
-@dataclass
-class ScanRow:
-    log_d: float
-    p: int
-    ratio: float  # p / (xi log d), the growth-condition quantity
-    log_deviation_bound: float
-    log_nu_gc_bound: float
-    deviation_bound: float
-    nu_gc_bound: float
-    vacuous: bool
-
-
 def asymptotic_scan(
     constants: MomentConditionConstants,
-    p_rule: Callable[[float], int],
+    p: int,
     log_d_grid,
     tau: float = 0.5,
     part: str = PART_B,
-) -> list[ScanRow]:
-    """Formula-level scan of the bounds along a grid of log d values.
+) -> list[TheoremBoundResult]:
+    """Formula-level scan of both bounds at a fixed p along a grid of log d.
 
-    The threshold t and the constants kappa and g are all 1.  p_rule maps
-    log d to the projection dimension p_d.  The growth condition
-    p_d/(xi_eff log d) -> 0 is checked as a trend: the ratio must be strictly
-    decreasing along the grid and its final value at most half the initial
-    one.  Both bounds are evaluated in the log domain, so the grid may reach
-    log d = 10^6 and beyond.
+    Returns one result per grid point, with the threshold t and the
+    constants kappa and g all 1.  The bounds are evaluated in the log
+    domain, so the grid may reach log d = 10^6 and beyond.  The scan only
+    evaluates; whether the bounds fall (bounds_decrease) and how far is for
+    the caller to report.
     """
     _check_part(part)
     grid = [float(v) for v in log_d_grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidDimensionError("log_d_grid must be increasing with >= 2 points")
-    xi_eff = xi_effective(constants.xi, constants.epsilon, part)
-    ps = [int(p_rule(ld)) for ld in grid]
-    for ld, p in zip(grid, ps):
-        if p < 1 or math.log(p) >= ld:
-            raise InvalidDimensionError(f"need 1 <= p_d < d along the grid, got p={p}")
-    ratios = [p / (xi_eff * ld) for p, ld in zip(ps, grid)]
-    decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    if not decreasing or ratios[-1] > 0.5 * ratios[0]:
-        raise GrowthConditionViolatedError(
-            f"p_d/(xi log d) does not vanish along the grid: {ratios}"
-        )
-    rows = []
-    for ld, p in zip(grid, ps):
-        _, _, log_dev, log_nu = _log_theorem_parts(ld, p, 1.0, tau, constants, 1.0, 1.0, part)
-        rows.append(
-            ScanRow(
-                log_d=ld,
-                p=p,
-                ratio=p / (xi_eff * ld),
-                log_deviation_bound=log_dev,
-                log_nu_gc_bound=log_nu,
-                deviation_bound=math.exp(log_dev) if log_dev < 700 else math.inf,
-                nu_gc_bound=math.exp(log_nu) if log_nu < 700 else math.inf,
-                vacuous=bool(log_dev >= 0.0 or log_nu >= 0.0),
-            )
-        )
-    _check_scan(rows)
-    return rows
+    if p < 1 or math.log(p) >= grid[0]:
+        raise InvalidDimensionError(f"need 1 <= p < d along the grid, got p={p}")
+    return [_evaluate(ld, p, 1.0, tau, constants, 1.0, 1.0, part) for ld in grid]
 
 
-def _check_scan(rows: list[ScanRow]):
-    """Both bounds must decrease strictly once nonvacuous; for fixed p the
-    values must drop below 10^-3 wherever log d >= 10^6."""
-    start = next((i for i, r in enumerate(rows) if not r.vacuous), None)
-    if start is not None:
-        for a, b in zip(rows[start:], rows[start + 1:]):
-            if not (b.log_deviation_bound < a.log_deviation_bound
-                    and b.log_nu_gc_bound < a.log_nu_gc_bound):
-                raise ProjcondError(
-                    f"bounds fail to decrease between log d = {a.log_d} and {b.log_d}"
-                )
-    if len({r.p for r in rows}) == 1:
-        limit = math.log(1e-3)
-        for r in rows:
-            if r.log_d >= 1e6 and not (
-                r.log_deviation_bound < limit and r.log_nu_gc_bound < limit
-            ):
-                raise ProjcondError(f"bounds not below 1e-3 at log d = {r.log_d}")
+def bounds_decrease(rows: list[TheoremBoundResult]) -> bool:
+    """Both log bounds fall strictly from each scan point to the next."""
+    return all(b.log_deviation_bound < a.log_deviation_bound
+               and b.log_nu_gc_bound < a.log_nu_gc_bound
+               for a, b in zip(rows, rows[1:]))

@@ -146,7 +146,16 @@ def log_density_ratio_batch(
     return _log_density_ratio_grams(x_norm_sq, gram, d, p)
 
 
-def _validate_chain(chain, k: int) -> tuple[int, ...]:
+def validate_chain(chain, k: int):
+    """The chain rule of gaussian_chain_identity: the keyword "alternating"
+    with k even, or indices j_0 = 0, j_1, ..., j_m <= k with
+    j_(i-1) + 1 < j_i.  Returns the keyword or the tuple of indices."""
+    if isinstance(chain, str):
+        if chain != "alternating":
+            raise InvalidChainError(f"unknown chain keyword '{chain}'")
+        if k % 2 != 0:
+            raise InvalidChainError("the alternating-sum identity needs k even")
+        return chain
     idx = tuple(int(j) for j in chain)
     if len(idx) < 1 or idx[0] != 0:
         raise InvalidChainError("chain indices must start with j_0 = 0")
@@ -184,22 +193,18 @@ def gaussian_chain_identity(
     if k > d - p:
         raise InvalidDimensionError(f"need k <= d - p, got k={k}, d-p={d - p}")
     xsq = float(x @ x)
+    chain = validate_chain(chain, k)
     alternating = isinstance(chain, str)
     if alternating:
-        if chain != "alternating":
-            raise InvalidChainError(f"unknown chain keyword '{chain}'")
-        if k % 2 != 0:
-            raise InvalidChainError("the alternating-sum identity needs k even")
         target = (1.0 - xsq) ** k
         # the cycles W_1'W_2 ... W_j'W_1 (the squared norm for j = 1), each
         # with its signed binomial coefficient
         cycles = [((-1.0) ** (k - j) * math.comb(k, j), [(i, (i + 1) % j) for i in range(j)])
                   for j in range(1, k + 1)]
     else:
-        idx = _validate_chain(chain, k)
-        target = xsq ** (idx[-1] - (len(idx) - 1))
+        target = xsq ** (chain[-1] - (len(chain) - 1))
         # each segment (lo, hi] contributes W_{lo+1}'W_{lo+2} ... W_{hi-1}'W_hi
-        pairs = [(j, j + 1) for lo, hi in zip(idx, idx[1:]) for j in range(lo, hi - 1)]
+        pairs = [(j, j + 1) for lo, hi in zip(chain, chain[1:]) for j in range(lo, hi - 1)]
 
     b = haar_stiefel_batch(d, p, 1, rng)[0]
 

@@ -34,6 +34,7 @@ from scipy.sparse.linalg import eigsh
 from .distributions import DistributionSpec, gaussian, log_density_batch, sample_z
 from .errors import DegenerateDensityError, InvalidDimensionError
 from .linalg import as_stiefel, clone_vectors, spectral_norm
+from .streams import mean_se
 from .bounds import PART_A, balanced_tuning
 
 _JACKKNIFE_BLOCKS = 20
@@ -128,8 +129,7 @@ def _ratio_conditional(
 
     full_mask = np.ones(nblocks, dtype=bool)
     h_hat, mu_hat, delta_hat = assemble(full_mask)
-    h_var = max(float(s_r2.sum()) / n - h_hat**2, 0.0)
-    h_se = math.sqrt(h_var / n)
+    _, h_se = mean_se(float(s_r.sum()), float(s_r2.sum()), n)
 
     mus = np.zeros((nblocks, d))
     deltas = np.zeros(nblocks)

@@ -45,10 +45,6 @@ class DegenerateDensityError(ProjcondError):
     """The estimated projected density is indistinguishable from zero."""
 
 
-class GrowthConditionViolatedError(ProjcondError):
-    """An asymptotic scan's p_d grows too fast relative to xi * log d."""
-
-
 class ConfigError(ProjcondError):
     """An experiment configuration fails validation; names the bad field."""
 

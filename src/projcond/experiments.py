@@ -21,7 +21,13 @@ from typing import get_type_hints
 import numpy as np
 
 from . import bounds, clones, conditional, distributions, linalg, moments
-from .errors import ConfigError, ConstraintViolatedError, ProjcondError, RankDeficientError
+from .errors import (
+    ConfigError,
+    ConstraintViolatedError,
+    InvalidChainError,
+    ProjcondError,
+    RankDeficientError,
+)
 from .expansion import remainder_diagnostic
 from .moments import MomentConditionConstants
 from .streams import batch_mean_se, substream
@@ -155,6 +161,17 @@ def chain_list(v) -> tuple:
 
 CAST_ERRORS = (TypeError, ValueError, OverflowError, KeyError, AttributeError, ProjcondError)
 
+
+def _chains_hold(args: dict) -> bool:
+    """Every chain passes the rule gaussian_chain_identity applies."""
+    try:
+        for chain in args["chains"]:
+            clones.validate_chain(chain, args["k"])
+    except InvalidChainError:
+        return False
+    return True
+
+
 # field -> (condition on the bound arguments, message), checked after the
 # defaults are bound; d bounds p and k in the kinds that have a d
 RANGES = {
@@ -177,6 +194,14 @@ RANGES = {
                    "need every key to be a d of d_list and every bandwidth > 0"),
     "tau1": (lambda a: a["tau1"] is None or a["tau1"] > 0, "need tau1 > 0"),
     "D": (lambda a: a["D"] >= 1, "need D >= 1"),
+    "part": (lambda a: a["part"] in (bounds.PART_A, bounds.PART_B), "need part 'A' or 'B'"),
+    # after p's rule, so that log p is defined
+    "log_d_grid": (lambda a: len(a["log_d_grid"]) >= 2
+                   and all(x < y for x, y in zip(a["log_d_grid"], a["log_d_grid"][1:]))
+                   and a["log_d_grid"][0] > math.log(a["p"]),
+                   "need at least 2 strictly increasing values, the first > log p"),
+    "chains": (_chains_hold, 'need each chain to be "alternating" with k even, or indices '
+               "j_0 = 0, j_1, ..., j_m <= k with j_(i-1) + 1 < j_i"),
 }
 
 
@@ -442,26 +467,21 @@ def run_asymptotic_scan(
     tau: float = 0.5, part: str = "A",
     constants: MomentConditionConstants.from_json = MomentConditionConstants(),
 ) -> list[ReportRow]:
-    try:
-        rows_scan = bounds.asymptotic_scan(constants, lambda ld: p, log_d_grid, tau=tau, part=part)
-        ok = True
-    except ProjcondError:
-        rows_scan = []
-        ok = False
-    out = [bool_row("asymptotic-scan", f"p={p};part={part};monotone-decreasing", ok)]
-    for r in rows_scan:
+    scan = bounds.asymptotic_scan(constants, p, log_d_grid, tau=tau, part=part)
+    out = [bool_row("asymptotic-scan", f"p={p};part={part};monotone-decreasing",
+                    bounds.bounds_decrease(scan))]
+    for ld, r in zip(log_d_grid, scan):
         out.append(info_row(
             "asymptotic-scan",
-            f"log_d={r.log_d:.4g};p={r.p};dev={r.deviation_bound:.4g};nu={r.nu_gc_bound:.4g}",
+            f"log_d={ld:.4g};p={p};dev={r.deviation_bound:.4g};nu={r.nu_gc_bound:.4g}",
             r.log_deviation_bound,
         ))
-    if rows_scan:
-        final = rows_scan[-1]
-        out.append(bool_row(
-            "asymptotic-scan",
-            f"final_log_d={final.log_d:.4g};below-1e-3",
-            final.deviation_bound < 1e-3 and final.nu_gc_bound < 1e-3,
-        ))
+    final = scan[-1]
+    out.append(bool_row(
+        "asymptotic-scan",
+        f"final_log_d={log_d_grid[-1]:.4g};below-1e-3",
+        final.deviation_bound < 1e-3 and final.nu_gc_bound < 1e-3,
+    ))
     return out
 
 

@@ -34,14 +34,19 @@ def batch_mean_se(n: int, batch: int, draw) -> tuple:
     ``draw(nb)`` returns the next nb values along its last axis; the values
     are drawn at most ``batch`` at a time and only their sums and sums of
     squares are kept.  Leading axes hold separate statistics of the same
-    draws, and the mean and SE then have their shape.  Each mean is squared
-    as a scalar, so a statistic's SE is the same bits whether it is drawn
-    alone or beside others.
+    draws, and the mean and SE then have their shape (see mean_se).
     """
     total = total_sq = 0.0
     for start in range(0, n, batch):
         vals = draw(min(batch, n - start))
         total = total + np.sum(vals, axis=-1)
         total_sq = total_sq + np.sum(vals**2, axis=-1)
+    return mean_se(total, total_sq, n)
+
+
+def mean_se(total, total_sq, n: int) -> tuple:
+    """Mean and standard error of n values from their sum and sum of squares
+    (scalars, or arrays of separate statistics).  Each mean is squared as a
+    scalar, so a statistic's SE is the same bits in an array or alone."""
     mean = total / n
     return mean, np.sqrt(np.maximum(total_sq / n - np.vectorize(pow)(mean, 2), 0.0) / n)

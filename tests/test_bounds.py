@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from projcond import bounds
-from projcond.errors import (
-    GrowthConditionViolatedError,
-    InvalidDimensionError,
-)
+from projcond.errors import InvalidDimensionError
 from projcond.moments import MomentConditionConstants
 
 CONS = MomentConditionConstants(epsilon=0.5, xi=0.5, D=1.0)
@@ -117,29 +114,35 @@ def test_applicability_thresholds():
 
 
 def test_scan_constant_p_decreases_to_zero():
-    rows = bounds.asymptotic_scan(CONS, lambda ld: 2, [1e6, 1e12, 1e24, 1e48, 1e96],
-                                  tau=0.5, part="B")
+    rows = bounds.asymptotic_scan(CONS, 2, [1e6, 1e12, 1e24, 1e48, 1e96], tau=0.5, part="B")
+    assert len(rows) == 5 and bounds.bounds_decrease(rows)
     for a, b in zip(rows, rows[1:]):
         assert b.log_deviation_bound < a.log_deviation_bound
         assert b.log_nu_gc_bound < a.log_nu_gc_bound
     assert rows[-1].deviation_bound < 1e-6
 
 
-def test_scan_growth_violations():
-    with pytest.raises(GrowthConditionViolatedError):
-        bounds.asymptotic_scan(CONS, lambda ld: max(1, int(ld)), [1e3, 1e4, 1e5], part="A")
-    rows = bounds.asymptotic_scan(CONS, lambda ld: max(1, int(math.sqrt(ld))),
-                                  [1e3, 1e4, 1e5, 1e6], part="B")
-    assert rows[-1].log_deviation_bound < rows[0].log_deviation_bound
+def test_scan_matches_theorem_bound():
+    # a scan point is the theorem bound at that d, with t = kappa = g = 1
+    ds = [1e4, 1e8]
+    rows = bounds.asymptotic_scan(CONS, 3, [math.log(d) for d in ds], tau=0.4, part="A")
+    for d, r in zip(ds, rows):
+        assert r == bounds.theorem_bound(bounds.TheoremBoundInputs(
+            d=d, p=3, t=1.0, tau=0.4, constants=CONS, part="A"))
+    assert not bounds.bounds_decrease(rows[::-1])
 
 
 def test_scan_grid_validation():
     with pytest.raises(InvalidDimensionError):
-        bounds.asymptotic_scan(CONS, lambda ld: 1, [1e4], part="A")
+        bounds.asymptotic_scan(CONS, 1, [1e4], part="A")
     with pytest.raises(InvalidDimensionError):
-        bounds.asymptotic_scan(CONS, lambda ld: 1, [1e4, 1e3], part="A")
+        bounds.asymptotic_scan(CONS, 1, [1e4, 1e3], part="A")
     with pytest.raises(InvalidDimensionError, match="part must be"):
-        bounds.asymptotic_scan(CONS, lambda ld: 1, [1e3, 1e4], part="C")
+        bounds.asymptotic_scan(CONS, 1, [1e3, 1e4], part="C")
+    with pytest.raises(InvalidDimensionError, match="p=0"):
+        bounds.asymptotic_scan(CONS, 0, [1e3, 1e4], part="A")
+    with pytest.raises(InvalidDimensionError, match="p=50"):
+        bounds.asymptotic_scan(CONS, 50, [math.log(50), 1e4], part="A")
 
 
 def test_gamma_constant_parts():

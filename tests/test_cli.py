@@ -12,6 +12,7 @@ from projcond.cli import build_parser, main
 from projcond.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    RANGES,
     parse_config,
     run_bartlett_check,
     run_conditional_linearity,
@@ -164,6 +165,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # the first d's frames run
     ({"experiment": "conditional-linearity", "d_list": [16, 24], "n_frames": 3,
       "n_inner": {"16": 20000, "24": 500}}, "'n_inner'"),
+    # the bound kinds' part, the scan's grid and the chains are refused by
+    # the schema, before any bound is evaluated or any clone drawn
+    ({"experiment": "asymptotic-scan", "part": "C"}, "'part'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5, "part": "C"}, "'part'"),
+    ({"experiment": "asymptotic-scan", "log_d_grid": [1e6, 1e3]}, "'log_d_grid'"),
+    ({"experiment": "asymptotic-scan", "log_d_grid": [1e3]}, "'log_d_grid'"),
+    ({"experiment": "asymptotic-scan", "log_d_grid": [-1, 5]}, "'log_d_grid'"),
+    ({"experiment": "normalzero-check", "chains": [[0, 7]]}, "'chains'"),
+    ({"experiment": "normalzero-check", "chains": ["alt"]}, "'chains'"),
+    ({"experiment": "normalzero-check", "k": 3, "chains": ["alternating"]}, "'chains'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -171,6 +182,7 @@ def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and field in err
     assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("constants, key", [
@@ -208,12 +220,12 @@ def test_float_fields_read_numbers_as_before():
     assert args["bandwidths"] == {512: 0.2, 128: 1.0}
 
 
-def test_scan_unknown_part_fails_its_row(tmp_path, capsys):
-    cfg = _write(tmp_path, "cfg.json", {"experiment": "asymptotic-scan", "part": "C"})
-    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 1
-    assert "Traceback" not in capsys.readouterr().err
-    lines = (tmp_path / "r.csv").read_text().strip().splitlines()
-    assert lines[1:] == ["asymptotic-scan,p=2;part=C;monotone-decreasing,0,0,1,0,0"]
+def test_ranges_name_runner_fields():
+    # a RANGES key that no runner takes, such as a misspelled one, would
+    # check nothing
+    fields = {name for fn in EXPERIMENTS.values()
+              for name in list(inspect.signature(fn).parameters)[1:]}
+    assert set(RANGES) <= fields, sorted(set(RANGES) - fields)
 
 
 def test_unknown_experiment_exit_code(tmp_path):
@@ -244,6 +256,22 @@ def test_asymptotic_scan_run(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "scan")]) == 0
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert any("below-1e-3" in ln for ln in lines)
+
+
+def test_asymptotic_scan_reports_every_verdict(tmp_path):
+    # bounds that fall but end above 10^-3 fail the below-1e-3 row; the
+    # monotone row and every grid row are still written
+    cfg = _write(tmp_path, "scan.json", {
+        "experiment": "asymptotic-scan", "p": 50, "log_d_grid": [10, 20, 1e6],
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "scan")]) == 1
+    rows = [ln.split(",") for ln in
+            (tmp_path / "scan.csv").read_text().strip().splitlines()[1:]]
+    assert [r[1].split(";")[-1] for r in rows] == [
+        "monotone-decreasing", "report-only", "report-only", "report-only", "below-1e-3"]
+    assert [r[1].split(";")[0] for r in rows[1:4]] == ["log_d=10", "log_d=20", "log_d=1e+06"]
+    assert (rows[0][5], rows[-1][5]) == ("1", "0")
+    assert "dev=0.001906" in rows[3][1]
 
 
 @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
