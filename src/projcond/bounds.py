@@ -163,24 +163,6 @@ def theorem_bound(inputs: TheoremBoundInputs) -> TheoremBoundResult:
     )
 
 
-def applicability_thresholds(d: float, p: int, k: int, M: float):
-    """Check d > max{4(k+p+1)M^4, 2k + p(2k+2)2^(k+3), p^2} (all strict).
-
-    Returns (applicable, margins) where margins lists each threshold.
-    """
-    t1 = 4.0 * (k + p + 1) * M**4
-    t2 = 2.0 * k + p * (2 * k + 2) * 2.0 ** (k + 3)
-    t3 = float(p**2)
-    margins = {
-        "taylor": t1,
-        "density_moment": t2,
-        "p_squared": t3,
-        "required": max(t1, t2, t3),
-        "d": float(d),
-    }
-    return bool(d > max(t1, t2, t3)), margins
-
-
 def asymptotic_scan(
     constants: MomentConditionConstants,
     p: int,

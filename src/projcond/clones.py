@@ -19,26 +19,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
-from .linalg import StiefelMatrix, as_stiefel, clone_vectors, haar_stiefel_batch
+from .linalg import clone_vectors, haar_stiefel_batch
 from .streams import batch_mean_se
 
 _CHAIN_BATCH = 20000  # samples per batch of clones in the chain identities
-
-
-@dataclass(frozen=True)
-class CloneDraw:
-    """One batch of clones: W_j = Bx + (I - BB')V_j, j = 1..k."""
-
-    B: StiefelMatrix
-    x: np.ndarray
-    W: np.ndarray  # k x d
-    V: np.ndarray  # k x d
-
-    def __post_init__(self):
-        b = self.B.entries
-        err = np.max(np.abs(self.W @ b - self.x[None, :]))
-        if err > 1e-10:
-            raise DimensionMismatchError(f"B'W_j != x (max error {err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -79,18 +63,6 @@ def eta_norm_const_bound(d: int, p: int, k: int) -> float:
     if not 1 <= k < d - p - 1:
         raise InvalidDimensionError(f"bound needs 1 <= k < d - p - 1, got k={k}")
     return math.exp((p**2 / d) * (1.0 - (p + k - 1) / d) ** (-1) * k**2 / 2.0)
-
-
-def sample_clones(B, x, k: int, rng: np.random.Generator) -> CloneDraw:
-    """Draw k clones sharing the projection x along the frame B."""
-    B = as_stiefel(B)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != B.p:
-        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {B.p}")
-    if k < 1:
-        raise InvalidDimensionError("need k >= 1")
-    v = rng.standard_normal((k, B.d))
-    return CloneDraw(B=B, x=x, W=clone_vectors(B.entries, x, v), V=v)
 
 
 def _log_density_ratio_grams(

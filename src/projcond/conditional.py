@@ -417,8 +417,9 @@ class DeviationProbability:
     """Estimated P(||mu_hat - Bx|| > t) and P(||Delta_hat|| > t).
 
     The probabilities concern exact conditional moments which the inner
-    loop only approximates; inner noise floors are reported so estimates
-    are read as upper-bounded by noise.
+    loop only approximates, so estimates are read as upper-bounded by its
+    noise; noise_floor_mu is the mean display's inner noise, averaged over
+    the outer points.
     """
 
     t: float

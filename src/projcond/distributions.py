@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    NotSPDError,
-    RankDeficientError,
-)
-from .linalg import StiefelMatrix
+from .errors import DimensionMismatchError, InvalidDimensionError
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -47,12 +41,6 @@ class DistributionSpec:
     @property
     def label(self) -> str:
         return self.family if self.family == "gaussian" else f"iid-{self.marginal}"
-
-    def to_json(self) -> dict:
-        out = {"family": self.family, "d": self.d}
-        if self.marginal is not None:
-            out["marginal"] = self.marginal
-        return out
 
     @staticmethod
     def from_json(obj: dict) -> "DistributionSpec":
@@ -132,46 +120,3 @@ def log_density_batch(spec: DistributionSpec, z: np.ndarray) -> np.ndarray:
     if spec.family == "gaussian":
         return -0.5 * np.sum(z * z, axis=1) - spec.d * LOG_SQRT_2PI
     return np.sum(_marginal_log_density(spec.marginal, z), axis=1)
-
-
-def log_density(spec: DistributionSpec, z) -> float:
-    return float(log_density_batch(spec, np.asarray(z, dtype=float)[None, :])[0])
-
-
-def _spd_power(mat: np.ndarray, power: float, floor: float = 1e-12) -> np.ndarray:
-    """Symmetric matrix power via eigendecomposition with an eigenvalue floor."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if vals[0] <= floor * max(vals[-1], 0.0) or vals[-1] <= 0.0:
-        raise NotSPDError(f"matrix not positive definite (eigenvalues in [{vals[0]:.3e}, {vals[-1]:.3e}])")
-    return (vecs * vals**power) @ vecs.T
-
-
-def standardize(mu, Sigma, A):
-    """Reduce a general (Y, A) conditioning problem to standardized form.
-
-    Returns the whitening map y -> Sigma^{-1/2}(y - mu) and the orthonormal
-    matrix B = Sigma^{1/2} A (A' Sigma A)^{-1/2}, so that conditioning Y on
-    A'Y is equivalent to conditioning Z = whiten(Y) on B'Z.
-    """
-    mu = np.asarray(mu, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    d, p = A.shape
-    if Sigma.shape != (d, d) or mu.shape != (d,):
-        raise DimensionMismatchError("mu, Sigma, A have inconsistent shapes")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise RankDeficientError("A does not have full column rank")
-    sqrt_sigma = _spd_power(Sigma, 0.5)
-    inv_sqrt_sigma = _spd_power(Sigma, -0.5)
-    inner = A.T @ Sigma @ A
-    inner_inv_sqrt = _spd_power(inner, -0.5)
-    b = sqrt_sigma @ A @ inner_inv_sqrt
-
-    def whiten(y):
-        y = np.asarray(y, dtype=float)
-        return (y - mu) @ inv_sqrt_sigma.T if y.ndim == 2 else inv_sqrt_sigma @ (y - mu)
-
-    return whiten, StiefelMatrix(d=d, p=p, entries=b)

@@ -21,10 +21,6 @@ class ConstraintViolatedError(ProjcondError):
     """A required linear constraint (e.g. B'w_j = x) does not hold."""
 
 
-class NotSPDError(ProjcondError):
-    """A matrix required to be symmetric positive definite is not."""
-
-
 class InvalidChainError(ProjcondError):
     """A chain-index specification violates its combinatorial constraints."""
 
@@ -38,7 +34,7 @@ class OutsideExpansionRegionError(ProjcondError):
 
 
 class InvalidStructureError(ProjcondError):
-    """A monomial pair does not match the required cycle/coverage pattern."""
+    """A monomial has a label below 1 or a degree above what its block allows."""
 
 
 class DegenerateDensityError(ProjcondError):

@@ -28,7 +28,7 @@ from .errors import (
     ProjcondError,
     RankDeficientError,
 )
-from .expansion import remainder_diagnostic
+from .expansion import MAX_K, remainder_diagnostic
 from .moments import MomentConditionConstants
 from .streams import batch_mean_se, substream
 
@@ -193,6 +193,11 @@ RANGES = {
                    and all(h > 0 for h in a["bandwidths"].values()),
                    "need every key to be a d of d_list and every bandwidth > 0"),
     "tau1": (lambda a: a["tau1"] is None or a["tau1"] > 0, "need tau1 > 0"),
+    "n_x": (lambda a: a["n_x"] >= 100, "need n_x >= 100"),
+    "n_outer": (lambda a: a["n_outer"] >= 100, "need n_outer >= 100"),
+    "ks": (lambda a: all(1 <= k <= MAX_K for k in a["ks"]), f"need every k in 1..{MAX_K}"),
+    "level": (lambda a: 0 < a["level"] < 1, "need 0 < level < 1"),
+    "corr_tol": (lambda a: a["corr_tol"] > 0, "need corr_tol > 0"),
     "D": (lambda a: a["D"] >= 1, "need D >= 1"),
     "part": (lambda a: a["part"] in (bounds.PART_A, bounds.PART_B), "need part 'A' or 'B'"),
     # after p's rule, so that log p is defined

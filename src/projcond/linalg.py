@@ -1,5 +1,5 @@
-"""Orthonormal frames, Haar sampling on the Stiefel manifold, Gram matrices,
-and the triangular (Bartlett-type) decompositions used by the clone density.
+"""Orthonormal frames, Haar sampling on the Stiefel manifold, and the
+triangular (Bartlett-type) decompositions used by the clone density.
 
 Conventions
 -----------
@@ -25,7 +25,6 @@ from .errors import (
 )
 
 ORTHO_TOL = 1e-10
-SYM_TOL = 1e-12
 FRAME_TOL = 1e-8
 SINGULAR_RATIO = 1e-10
 _REPS_BLOCK = 10000   # samples per block of triangular_statistics
@@ -64,24 +63,6 @@ def as_stiefel(B) -> StiefelMatrix:
     if B.ndim == 1:
         B = B[:, None]
     return StiefelMatrix(d=B.shape[0], p=B.shape[1], entries=B)
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """k x k matrix of scaled inner products (w_i'w_j / d)."""
-
-    k: int
-    d: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.k, self.k):
-            raise DimensionMismatchError("Gram entries must be k x k")
-        if np.max(np.abs(self.entries - self.entries.T)) > SYM_TOL:
-            raise ConstraintViolatedError("Gram matrix not symmetric")
-        eigmin = float(np.linalg.eigvalsh(self.entries)[0])
-        if eigmin < -1e-10 * max(1.0, float(np.abs(self.entries).max())):
-            raise ConstraintViolatedError(f"Gram matrix not PSD (eigmin {eigmin:.3e})")
 
 
 def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,20 +110,6 @@ def clone_vectors(b: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     stack; W has the shape of ``v`` and every row satisfies B'W_j = x.
     """
     return b @ x + v - (v @ b) @ b.T
-
-
-def gram_matrix(vectors, d: int) -> GramMatrix:
-    """Scaled Gram matrix S_k with entries w_i'w_j / d.
-
-    The result is bitwise symmetric: the upper triangle is computed and
-    mirrored.
-    """
-    w = np.asarray(vectors, dtype=float)
-    if w.ndim != 2 or w.shape[1] != d:
-        raise DimensionMismatchError(f"expected k x {d} vectors, got shape {w.shape}")
-    s = w @ w.T / d
-    s = np.triu(s) + np.triu(s, 1).T
-    return GramMatrix(k=w.shape[0], d=d, entries=s)
 
 
 def stiefel_from_constraints(vectors, x) -> StiefelMatrix:

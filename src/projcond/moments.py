@@ -11,7 +11,7 @@ squared (1,2) entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,73 +75,21 @@ class MomentConditionConstants:
         return MomentConditionConstants(**values)
 
 
-def _classify(pairs: tuple[tuple[int, int], ...]) -> str:
-    if len(pairs) == 0:
-        return "open-chain"
-    loops = [p for p in pairs if p[0] == p[1]]
-    if len(loops) == len(pairs):
-        return "diagonal"
-    if loops:
-        return "general"
-    vertices = sorted({v for p in pairs for v in p})
-    degree = {v: 0 for v in vertices}
-    for a, b in pairs:
-        degree[a] += 1
-        degree[b] += 1
-    # closed cycle: every vertex degree 2, connected, #edges = #vertices
-    if all(deg == 2 for deg in degree.values()) and len(pairs) == len(vertices):
-        if _connected(pairs, vertices):
-            return "cycle"
-        return "general"
-    # open chains: simple disjoint paths - degrees <= 2, no repeated edge,
-    # and every component acyclic
-    if len(set(pairs)) == len(pairs) and all(deg <= 2 for deg in degree.values()):
-        if len(pairs) == len(vertices) - _component_count(pairs, vertices):
-            return "open-chain"
-    return "general"
-
-
-def _connected(pairs, vertices) -> bool:
-    return _component_count(pairs, vertices) == 1
-
-
-def _component_count(pairs, vertices) -> int:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in vertices})
-
-
 @dataclass(frozen=True)
 class MonomialSpec:
     """A monomial in the entries of S_k - I_k, as a multiset of index pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    classification: str = field(init=False)
 
     def __post_init__(self):
         norm = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
         object.__setattr__(self, "pairs", norm)
         if any(a < 1 for a, _ in norm):
             raise InvalidStructureError("vertex labels are 1-based")
-        object.__setattr__(self, "classification", _classify(norm))
 
     @property
     def degree(self) -> int:
         return len(self.pairs)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.pairs for v in p)
 
     @property
     def max_vertex(self) -> int:
@@ -164,18 +112,6 @@ class MonomialSpec:
         if any(m == 1 for m in mult.values()):
             return 0.0
         return None
-
-
-def cycle_monomial(g: int) -> MonomialSpec:
-    """The closed cycle (1,2)(2,3)...(g,1); a single loop when g = 1."""
-    if g < 1:
-        raise InvalidStructureError("cycle length must be >= 1")
-    if g == 1:
-        return MonomialSpec(pairs=((1, 1),))
-    if g == 2:
-        return MonomialSpec(pairs=((1, 2), (1, 2)))
-    pairs = tuple((i, i + 1) for i in range(1, g)) + ((1, g),)
-    return MonomialSpec(pairs=pairs)
 
 
 def _deviations(
@@ -238,39 +174,6 @@ def estimate_monomial_mean(
         n_blocks, _BATCH, lambda nb: scale * _monomial_values(_deviations(spec, d, k, nb, rng), G)
     )
     return mean, se, G.b1b_target()
-
-
-def estimate_b1c(
-    spec: DistributionSpec,
-    d: int,
-    G: MonomialSpec,
-    H: MonomialSpec,
-    n_blocks: int,
-    rng: np.random.Generator,
-):
-    """Scaled cross moment d^g E[G H] for a cycle G and a covering H.
-
-    G must be the closed cycle on vertices 1..g; H must have degree h with
-    2 <= h < g and touch every vertex of the cycle (otherwise the cross
-    moment does not vanish and the pattern is rejected).
-    """
-    if G.classification != "cycle" or G.vertices != frozenset(range(1, G.degree + 1)):
-        raise InvalidStructureError("G must be the closed cycle on vertices 1..g")
-    g, h = G.degree, H.degree
-    if not 2 <= h < g:
-        raise InvalidStructureError(f"need 2 <= deg(H) < deg(G), got h={h}, g={g}")
-    if not H.vertices >= G.vertices:
-        raise InvalidStructureError(
-            "H must depend on every vector appearing in the cycle G"
-        )
-    k = max(G.max_vertex, H.max_vertex)
-    scale = float(d**g)
-
-    def draw(nb):
-        dev = _deviations(spec, d, k, nb, rng)
-        return scale * _monomial_values(dev, G) * _monomial_values(dev, H)
-
-    return batch_mean_se(n_blocks, _BATCH, draw)
 
 
 @dataclass

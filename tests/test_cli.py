@@ -175,6 +175,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "normalzero-check", "chains": [[0, 7]]}, "'chains'"),
     ({"experiment": "normalzero-check", "chains": ["alt"]}, "'chains'"),
     ({"experiment": "normalzero-check", "k": 3, "chains": ["alternating"]}, "'chains'"),
+    # library preconditions, refused before any draw: n_x, n_outer and ks
+    # would stop the run with the library's message, and level and
+    # corr_tol would run the whole check to a row that cannot pass
+    ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "n_x": 50}, "'n_x'"),
+    ({"experiment": "conditional-linearity", "n_outer": 5}, "'n_outer'"),
+    ({"experiment": "expansion-order", "ks": [7]}, "'ks'"),
+    ({"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3, "level": 2}, "'level'"),
+    ({"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3, "corr_tol": -1}, "'corr_tol'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from projcond import bounds, conditional as cond, distributions as dist, linalg
-from projcond.acceptance import _uniform_fiber_quadrature
+from projcond.acceptance import _uniform_fiber_moments
 
 B2 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 
-# fiber-quadrature oracle for the iid-uniform law at d = 2, B = (1,2)'/sqrt5,
-# frozen from a 10^5-point rule; h at x = 0 equals sqrt(2 pi) sqrt(15)/12
-# exactly, which pins the quadrature itself
+# fiber oracle for the iid-uniform law at d = 2, B = (1,2)'/sqrt5, frozen to
+# ten digits from a 10^5-point midpoint rule along the fiber, which the
+# closed form reproduces; h at x = 0 equals sqrt(2 pi) sqrt(15)/12 exactly
 FROZEN_ORACLE = {
     0.0: {"h": 0.8090107969, "mu": (0.0, 0.0), "dnorm": 0.2500000000},
     0.3: {"h": 0.8462478325, "mu": (0.0, 0.3354101966), "dnorm": 0.2797388932},
@@ -24,12 +24,12 @@ def test_quadrature_oracle_reproduces_frozen_values():
         math.sqrt(2 * math.pi) * math.sqrt(15.0) / 12.0, abs=1e-9
     )
     for x, vals in FROZEN_ORACLE.items():
-        h, mu, sec = _uniform_fiber_quadrature(B2, x)
-        assert h == pytest.approx(vals["h"], abs=1e-6)
-        assert np.allclose(mu, vals["mu"], atol=1e-6)
+        h, mu, sec = _uniform_fiber_moments(B2, x)
+        assert h == pytest.approx(vals["h"], abs=1e-9)
+        assert np.allclose(mu, vals["mu"], rtol=0, atol=1e-9)
         delta = sec - (np.eye(2) + np.outer(B2, B2) * (x * x - 1))
         dn = float(np.max(np.abs(np.linalg.eigvalsh(delta))))
-        assert dn == pytest.approx(vals["dnorm"], abs=1e-6)
+        assert dn == pytest.approx(vals["dnorm"], abs=1e-9)
 
 
 def test_ratio_estimates_match_quadrature(rng_factory):

@@ -8,7 +8,6 @@ from scipy import stats
 from projcond import linalg
 from projcond.errors import (
     ConstraintViolatedError,
-    DimensionMismatchError,
     InvalidDimensionError,
     RankDeficientError,
 )
@@ -61,30 +60,6 @@ def test_haar_rotation_invariance(rng_factory):
         for j in range(p):
             res = stats.ks_2samp(b1[:, i, j], b2[:, i, j])
             assert res.pvalue > 0.001, (i, j, res.pvalue)
-
-
-def test_gram_trivial_cases():
-    d = 4
-    w = np.vstack([math.sqrt(d) * np.eye(d)[0]] * 2)
-    s = linalg.gram_matrix(w, d)
-    assert np.array_equal(s.entries, np.ones((2, 2)))
-    s2 = linalg.gram_matrix(math.sqrt(d) * np.eye(d)[:3], d)
-    assert np.array_equal(s2.entries, np.eye(3))
-
-
-def test_gram_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        linalg.gram_matrix(np.ones((2, 3)), 4)
-
-
-def test_gram_clt_fluctuation(rng_factory):
-    # sqrt(d) (S_2 - I_2)_12 is asymptotically standard normal
-    d, n = 1000, 10_000
-    rng = rng_factory("gram-clt")
-    z = rng.standard_normal((n, 2, d))
-    vals = math.sqrt(d) * np.einsum("nd,nd->n", z[:, 0], z[:, 1]) / d
-    assert abs(vals.mean()) < 4 / math.sqrt(n) * vals.std()
-    assert abs(vals.var() - 1.0) < 0.1
 
 
 def test_stiefel_from_constraints_roundtrip(rng_factory):

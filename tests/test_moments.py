@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,67 +5,7 @@ import pytest
 
 from projcond import distributions as dist
 from projcond import moments as mo
-from projcond.errors import InvalidDimensionError, InvalidStructureError
-
-
-def brute_force_classify(pairs):
-    """Independent graph analysis used to cross-check the classifier."""
-    if len(pairs) == 0:
-        return "open-chain"
-    loops = [e for e in pairs if e[0] == e[1]]
-    if len(loops) == len(pairs):
-        return "diagonal"
-    if loops:
-        return "general"
-    verts = sorted({v for e in pairs for v in e})
-    adj = {v: [] for v in verts}
-    for i, (a, b) in enumerate(pairs):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    deg = {v: len(adj[v]) for v in verts}
-    # connected components by BFS
-    seen, comps = set(), []
-    for v0 in verts:
-        if v0 in seen:
-            continue
-        comp, queue = set(), [v0]
-        while queue:
-            v = queue.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            queue += [u for u, _ in adj[v]]
-        seen |= comp
-        comps.append(comp)
-    if all(deg[v] == 2 for v in verts) and len(pairs) == len(verts) and len(comps) == 1:
-        return "cycle"
-    if (
-        len(set(pairs)) == len(pairs)
-        and all(deg[v] <= 2 for v in verts)
-        and len(pairs) == len(verts) - len(comps)
-    ):
-        return "open-chain"
-    return "general"
-
-
-def test_classification_against_brute_force():
-    pool = [(a, b) for a in range(1, 5) for b in range(a, 5)]
-    count = 0
-    for degree in range(1, 5):
-        for combo in itertools.combinations_with_replacement(pool, degree):
-            spec = mo.MonomialSpec(pairs=combo)
-            assert spec.classification == brute_force_classify(spec.pairs), combo
-            count += 1
-    assert count > 900
-
-
-def test_cycle_monomials():
-    assert mo.cycle_monomial(1).pairs == ((1, 1),)
-    assert mo.cycle_monomial(2).pairs == ((1, 2), (1, 2))
-    c4 = mo.cycle_monomial(4)
-    assert c4.classification == "cycle" and c4.degree == 4
-    with pytest.raises(InvalidStructureError):
-        mo.cycle_monomial(0)
+from projcond.errors import InvalidDimensionError
 
 
 def test_b1b_targets():
@@ -156,44 +95,6 @@ def test_b1b_scale_stability(rng_factory):
         devs.append(abs(est - 1.0) * math.sqrt(d))
         noises.append(se * math.sqrt(d))
     assert devs[-1] <= devs[0] + 4 * (noises[0] + noises[-1])
-
-
-def test_b1c_structure_validation(rng_factory):
-    rng = rng_factory("b1c-bad")
-    g3 = mo.cycle_monomial(3)
-    with pytest.raises(InvalidStructureError):  # deg(H) >= g
-        mo.estimate_b1c(dist.gaussian(50), 50, g3,
-                        mo.MonomialSpec(pairs=((1, 2), (2, 3), (1, 3))), 100, rng)
-    with pytest.raises(InvalidStructureError):  # deg(H) < 2
-        mo.estimate_b1c(dist.gaussian(50), 50, g3, mo.MonomialSpec(pairs=((1, 2),)), 100, rng)
-    with pytest.raises(InvalidStructureError):  # H misses a cycle vertex
-        mo.estimate_b1c(dist.gaussian(50), 50, g3,
-                        mo.MonomialSpec(pairs=((1, 2), (1, 2))), 100, rng)
-    with pytest.raises(InvalidStructureError):  # G not a canonical cycle
-        mo.estimate_b1c(dist.gaussian(50), 50, mo.MonomialSpec(pairs=((1, 2), (2, 3))),
-                        mo.MonomialSpec(pairs=((1, 2), (2, 3))), 100, rng)
-
-
-def test_b1c_gaussian_vanishes(rng_factory):
-    g3 = mo.cycle_monomial(3)
-    h = mo.MonomialSpec(pairs=((1, 2), (2, 3)))
-    est, se = mo.estimate_b1c(dist.gaussian(200), 200, g3, h, 30_000, rng_factory("b1c-g"))
-    assert abs(est) < 4 * se
-
-
-def test_b1c_decays_with_dimension(rng_factory):
-    g3 = mo.cycle_monomial(3)
-    h = mo.MonomialSpec(pairs=((1, 2), (2, 3)))
-    spec_raw = {"family": "iid-marginal", "marginal": "exponential"}
-    est100, se100 = mo.estimate_b1c(
-        dist.DistributionSpec.from_json(dict(spec_raw, d=100)), 100, g3, h, 60_000,
-        rng_factory("b1c-100"))
-    est400, se400 = mo.estimate_b1c(
-        dist.DistributionSpec.from_json(dict(spec_raw, d=400)), 400, g3, h, 60_000,
-        rng_factory("b1c-400"))
-    joint = math.sqrt(se100**2 + se400**2)
-    assert abs(est400) < abs(est100) + 4 * joint
-    assert est400 - est100 < 4 * joint  # ratio-test direction
 
 
 @pytest.mark.parametrize("marginal,analytic_b", [
