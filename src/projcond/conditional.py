@@ -418,8 +418,7 @@ class DeviationProbability:
 
     The probabilities concern exact conditional moments which the inner
     loop only approximates, so estimates are read as upper-bounded by its
-    noise; noise_floor_mu is the mean display's inner noise, averaged over
-    the outer points.
+    noise.
     """
 
     t: float
@@ -427,7 +426,6 @@ class DeviationProbability:
     mean_se: float
     var_prob: float
     var_se: float
-    noise_floor_mu: float
     n_outer: int
     n_inner: int
 
@@ -457,19 +455,16 @@ def deviation_probability(
         hit = float(0.0 > t)
         return DeviationProbability(
             t=t, mean_prob=hit, mean_se=0.0, var_prob=hit, var_se=0.0,
-            noise_floor_mu=0.0, n_outer=n_outer, n_inner=n_inner,
+            n_outer=n_outer, n_inner=n_inner,
         )
     xs = sample_z(spec, n_outer, rng) @ B.entries
     pool = build_pool(spec, B, n_pool=n_inner, rng=rng, bandwidth=bandwidth)
 
     mean_hits = 0
     var_hits = 0
-    noise_acc = 0.0
     for x in xs:
-        dev_mu, noise = kernel_mu_deviation(pool, x)
-        mean_hits += dev_mu > t
+        mean_hits += kernel_mu_deviation(pool, x)[0] > t
         var_hits += kernel_delta_norm(pool, x) > t
-        noise_acc += noise
 
     mean_p = mean_hits / n_outer
     var_p = var_hits / n_outer
@@ -483,7 +478,6 @@ def deviation_probability(
         mean_se=binom(mean_p),
         var_prob=var_p,
         var_se=binom(var_p),
-        noise_floor_mu=noise_acc / n_outer,
         n_outer=n_outer,
         n_inner=n_inner,
     )

@@ -172,12 +172,18 @@ def _chains_hold(args: dict) -> bool:
     return True
 
 
+def _least_d(args: dict) -> float:
+    """d, or the least d of d_list; unbounded in a kind that has neither."""
+    return args["d"] if "d" in args else min(args.get("d_list", (math.inf,)))
+
+
 # field -> (condition on the bound arguments, message), checked after the
-# defaults are bound; d bounds p and k in the kinds that have a d
+# defaults are bound; the least d bounds p and k in the kinds that have a d
+# or a d_list
 RANGES = {
     "d": (lambda a: a["d"] >= 2, "need d >= 2"),
-    "p": (lambda a: 1 <= a["p"] < a.get("d", math.inf), "need 1 <= p < d"),
-    "k": (lambda a: 1 <= a["k"] <= a.get("d", math.inf) - a.get("p", 0), "need 1 <= k <= d - p"),
+    "p": (lambda a: 1 <= a["p"] < _least_d(a), "need 1 <= p < d for every d"),
+    "k": (lambda a: 1 <= a["k"] <= _least_d(a) - a.get("p", 0), "need 1 <= k <= d - p for every d"),
     "n": (lambda a: a["n"] >= 1, "need n >= 1"),
     "n_frames": (lambda a: a["n_frames"] >= 1, "need n_frames >= 1"),
     "n_blocks": (lambda a: a["n_blocks"] >= 1, "need n_blocks >= 1"),

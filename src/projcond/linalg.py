@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConstraintViolatedError,
@@ -342,6 +341,8 @@ def bartlett_distribution_check(
     chi-square with d-p-j+1 degrees of freedom, all mutually independent;
     and t_11^2 - ||x||^2 is chi-square with d-p degrees of freedom.
     """
+    from scipy import stats
+
     if k > d - p:
         raise InvalidDimensionError(f"need k <= d - p, got k={k}, d-p={d - p}")
     if n_reps < 1000:

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +186,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "expansion-order", "ks": [7]}, "'ks'"),
     ({"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3, "level": 2}, "'level'"),
     ({"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3, "corr_tol": -1}, "'corr_tol'"),
+    # the least d of d_list bounds k and p
+    ({"experiment": "moment-conditions", "k": 11, "d_list": [10]}, "'k'"),
+    ({"experiment": "conditional-linearity", "p": 40, "d_list": [32, 512]}, "'p'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -440,3 +446,14 @@ def test_parse_config_raises_only_config_errors(kind, data):
     except ConfigError:
         return
     assert list(args) == fields
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half the start-up of every run; only the KS
+    # test in bartlett_distribution_check and g_membership's chi2 load it,
+    # inside the function
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, projcond.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "False"

@@ -158,7 +158,7 @@ def test_deviation_probability_gaussian_zero(rng_factory):
     for t, hit in ((0.05, 0.0), (0.0, 0.0), (-1e-12, 1.0)):
         res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=1500, rng=rng)
         assert (res.mean_prob, res.var_prob) == (hit, hit)
-        assert (res.mean_se, res.var_se, res.noise_floor_mu) == (0.0, 0.0, 0.0)
+        assert (res.mean_se, res.var_se) == (0.0, 0.0)
         assert (res.n_outer, res.n_inner) == (100, 1500)
     # the generator was not advanced
     assert np.array_equal(rng.random(4), replay.random(4))
@@ -171,8 +171,6 @@ def test_deviation_probability_t_zero_is_one(rng_factory):
     spec = dist.iid_marginal("uniform", 16)
     B = linalg.haar_stiefel(16, 1, rng)
     res = cond.deviation_probability(spec, B, t=0.0, n_outer=100, n_inner=20_000, rng=rng)
-    # a kernel-engine run: its mean has a positive noise floor
-    assert res.noise_floor_mu > 0.0
     assert res.mean_prob == 1.0 and res.var_prob == 1.0
 
 
@@ -182,7 +180,10 @@ def test_deviation_probability_kernel_small_threshold(rng_factory):
     B = linalg.haar_stiefel(32, 1, rng)
     res = cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=50_000, rng=rng)
     assert 0.0 <= res.mean_prob <= 0.1
-    assert res.noise_floor_mu < 0.25
+    # the mean's inner noise on a pool of the same law, frame and size
+    pool = cond.build_pool(spec, B, 50_000, rng)
+    noise = [cond.kernel_mu_deviation(pool, np.array([x]))[1] for x in (0.0, -1.0, 0.6)]
+    assert 0.0 < np.mean(noise) < 0.25
 
 
 def test_kernel_delta_norm_reproducible_on_eigsh_path(rng_factory):
