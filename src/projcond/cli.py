@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -55,7 +56,11 @@ def _cmd_run(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
     seed = _seed(cfg.pop("seed", acceptance.DEFAULT_SEED))
-    out_prefix = read_field("out", str, cfg.pop("out", "projcond-report"))
+    cfg_out = read_field("out", str, cfg.pop("out", "projcond-report"))
+    out_prefix = args.out or cfg_out
+    for report in (out_prefix + ".csv", out_prefix + ".json"):
+        if os.path.abspath(report) == os.path.abspath(args.config):
+            raise ConfigError("out", f"the report {report} would overwrite the config being run")
     experiments = cfg.pop("experiments", None)
     if experiments is None:
         experiments = [cfg]
@@ -71,7 +76,7 @@ def _cmd_run(args) -> int:
         exp_rows, ms = run_experiment(exp, seed, index=i)
         timings[f"{i}:{exp['experiment']}"] = round(ms, 3)
         rows.extend(exp_rows)
-    return _emit(rows, timings, args.out or out_prefix, seed)
+    return _emit(rows, timings, out_prefix, seed)
 
 
 def _cmd_verify(args) -> int:

@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
 from .linalg import clone_vectors, haar_stiefel_batch
@@ -43,6 +42,8 @@ def _mutation_factor() -> float:
 
 def log_eta(d: int, p: int, k: int) -> float:
     """log of the normalizing constant eta(d, p, k)."""
+    from scipy.special import gammaln
+
     if p == 0:  # degenerate hook: empty product, zero exponent
         return 0.0
     if not 1 <= k <= d - p:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .distributions import DistributionSpec, gaussian, log_density_batch, sample_z
 from .errors import DegenerateDensityError, InvalidDimensionError
@@ -370,6 +369,19 @@ def kernel_mu_deviation(pool: ForwardPool, x):
     """
     mu, proj_mean, noise = kernel_mu(pool, x)
     return float(np.linalg.norm(mu - pool.b @ proj_mean)), noise
+
+
+def eigsh(a, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported on the first call.
+
+    SciPy's import costs about 0.3 s, so loading it at module level would
+    more than double the start-up of every ``projcond run``, most of which
+    never solve an eigenproblem.  It stays a module attribute so that every
+    eigen-solve of ``kernel_delta_norm`` goes through this one name.
+    """
+    from scipy.sparse.linalg import eigsh as scipy_eigsh
+
+    return scipy_eigsh(a, **kwargs)
 
 
 def kernel_delta_norm(pool: ForwardPool, x):

@@ -254,9 +254,9 @@ def test_theorem_bound_run(tmp_path):
     cfg = _write(tmp_path, "bound.json", {
         "experiment": "theorem-bound", "part": "A", "d": 1e6, "p": 2, "t": 1, "tau": 0.5,
     })
-    assert main(["run", cfg, "--out", str(tmp_path / "bound")]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "bound-report")]) == 0
     dev, nu = [ln.split(",") for ln in
-               (tmp_path / "bound.csv").read_text().strip().splitlines()[1:]]
+               (tmp_path / "bound-report.csv").read_text().strip().splitlines()[1:]]
     assert "xi_eff=0.1667;gamma=9.5310;vacuous" in dev[1]
     assert "nu_gc;vacuous" in nu[1]
     assert float(dev[2]) == pytest.approx(5.83526, rel=1e-5)
@@ -267,8 +267,8 @@ def test_asymptotic_scan_run(tmp_path):
         "experiment": "asymptotic-scan", "p": 2, "part": "A", "tau": 0.5,
         "log_d_grid": [1e3, 1e4, 1e5, 1e6],
     })
-    assert main(["run", cfg, "--out", str(tmp_path / "scan")]) == 0
-    lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
+    assert main(["run", cfg, "--out", str(tmp_path / "scan-report")]) == 0
+    lines = (tmp_path / "scan-report.csv").read_text().strip().splitlines()
     assert any("below-1e-3" in ln for ln in lines)
 
 
@@ -278,9 +278,9 @@ def test_asymptotic_scan_reports_every_verdict(tmp_path):
     cfg = _write(tmp_path, "scan.json", {
         "experiment": "asymptotic-scan", "p": 50, "log_d_grid": [10, 20, 1e6],
     })
-    assert main(["run", cfg, "--out", str(tmp_path / "scan")]) == 1
+    assert main(["run", cfg, "--out", str(tmp_path / "scan-report")]) == 1
     rows = [ln.split(",") for ln in
-            (tmp_path / "scan.csv").read_text().strip().splitlines()[1:]]
+            (tmp_path / "scan-report.csv").read_text().strip().splitlines()[1:]]
     assert [r[1].split(";")[-1] for r in rows] == [
         "monotone-decreasing", "report-only", "report-only", "report-only", "below-1e-3"]
     assert [r[1].split(";")[0] for r in rows[1:4]] == ["log_d=10", "log_d=20", "log_d=1e+06"]
@@ -457,3 +457,48 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", "import sys, projcond.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "False"
+
+
+def test_run_refuses_an_out_that_would_overwrite_its_config(tmp_path, capsys):
+    cfg = _write(tmp_path, "k.json", {
+        "experiment": "theorem-bound", "part": "A", "d": 100, "p": 1, "t": 1, "tau": 0.5,
+    })
+    before = (tmp_path / "k.json").read_bytes()
+    assert main(["run", cfg, "--out", str(tmp_path / "k")]) == 2
+    assert "'out'" in capsys.readouterr().err
+    assert (tmp_path / "k.json").read_bytes() == before
+    # the same through the config's own out field
+    _write(tmp_path, "k.json", {
+        "out": str(tmp_path / "k"), "experiment": "theorem-bound", "part": "A", "d": 100,
+        "p": 1, "t": 1, "tau": 0.5,
+    })
+    before = (tmp_path / "k.json").read_bytes()
+    assert main(["run", cfg]) == 2
+    assert (tmp_path / "k.json").read_bytes() == before
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # projcond starts on numpy alone: log_eta, conditional.eigsh, the KS
+    # test and g_membership's chi2 import their SciPy module when called,
+    # so a closed-form run and a run that stops at a bad field load none
+    bound = _write(tmp_path, "bound.json", {
+        "experiment": "theorem-bound", "part": "A", "d": 1e6, "p": 2, "t": 1, "tau": 0.5,
+    })
+    bad = _write(tmp_path, "bad.json", {
+        "experiment": "clone-density-check", "d": "abc", "p": 1, "k": 1,
+    })
+    script = (
+        "import sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "from projcond import cli\n"
+        "print(scipy_loaded())\n"
+        f"print(cli.main(['run', {bound!r}, '--out', {str(tmp_path / 'bound-report')!r}]))\n"
+        "print(scipy_loaded())\n"
+        f"print(cli.main(['run', {bad!r}, '--out', {str(tmp_path / 'bad-report')!r}]))\n"
+        "print(scipy_loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, check=True)
+    assert child.stdout.split("\n")[:5] == ["[]", "0", "[]", "2", "[]"]

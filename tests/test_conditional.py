@@ -416,3 +416,25 @@ def test_balanced_tuning_balances():
     t1b, t2b = bounds.balanced_tuning(tau, 0.1, "B")
     assert t1b + t2b - 5 * 0.1 == pytest.approx(-t2b / 4)
     assert t2b / 4 == pytest.approx(tau * 0.1)
+
+
+def test_every_eigen_solve_goes_through_the_module_eigsh(monkeypatch, rng_factory):
+    # perfbench times the eigen-solve by wrapping conditional.eigsh; a
+    # kernel_delta_norm that bound the solver under another name would
+    # leave that layer at zero
+    rng = rng_factory("eigsh-attribute")
+    d = 16
+    pool = cond.build_pool(dist.iid_marginal("uniform", d), linalg.haar_stiefel(d, 1, rng),
+                           4000, rng)
+    x = np.array([0.3])
+    expected = cond.kernel_delta_norm(pool, x)
+    calls = []
+    solve = cond.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cond, "eigsh", counting)
+    assert cond.kernel_delta_norm(pool, x) == expected
+    assert len(calls) == 1
