@@ -39,7 +39,6 @@ from .bounds import PART_A, balanced_tuning
 _JACKKNIFE_BLOCKS = 20
 _RATIO_BATCH = 20000  # inner draws per chunk of the ratio engine
 _BLOCK_ROWS = 4096    # rows per block of every kernel-engine pass over a pool
-_NOISE_CAP = 4000     # highest-weight rows behind the kernel mean's noise scale
 _GRAM_CAP = 30000     # most rows in one kernel second-moment Gram
 _XI_EFF = 1.0 / 6.0   # xi_1 of part A at the default moment constants
 
@@ -303,10 +302,7 @@ def _nearest(rows: slice, w: np.ndarray, cap: int):
 def _window_blocks(z: np.ndarray, rows: np.ndarray, scale: np.ndarray):
     """The rows z[rows], each times its scale, in blocks of at most
     _BLOCK_ROWS rows written into one reused float32 buffer, so no copy of
-    the whole window is ever made.
-
-    Yields (part, block): the window positions of the block's rows and the
-    block, which the next step overwrites.
+    the whole window is ever made.  Each block is overwritten by the next.
     """
     m = rows.shape[0]
     buf = np.empty((min(m, _BLOCK_ROWS), z.shape[1]), dtype=np.float32)
@@ -317,28 +313,19 @@ def _window_blocks(z: np.ndarray, rows: np.ndarray, scale: np.ndarray):
         # buffer
         np.take(z, rows[part], axis=0, out=block, mode="clip")
         block *= scale[part, None]
-        yield part, block
+        yield block
 
 
-def kernel_h(pool: ForwardPool, x) -> float:
-    """Projected density at x relative to the standard Gaussian density."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, w = _window(pool, x)
-    p = pool.p
-    h = _bandwidth_at(pool, x)
-    f_hat = float(np.sum(w)) / (pool.n * (2 * math.pi) ** (p / 2) * h**p)
-    log_phi = -0.5 * float(x @ x) - 0.5 * p * math.log(2 * math.pi)
-    return f_hat / math.exp(log_phi)
+def kernel_mu_deviation(pool: ForwardPool, x):
+    """The smoothed conditional-mean deviation at x and the projected
+    density ratio h, from one kernel window.
 
-
-def kernel_mu(pool: ForwardPool, x):
-    """Kernel-regression estimate of E[Z | B'Z = x] and its noise scale.
-
-    Returns (mu_hat, proj_mean, noise_norm): the weighted mean of the pool,
-    the weighted mean of its projections (the matched smoothing target for
-    Bx), and the approximate root mean squared norm of the sampling error
-    (computed on the highest-weight subset, which carries almost all of the
-    variance).
+    Returns (||mu_hat - B proj_mean||, f_hat(x) / phi_p(x)): mu_hat is the
+    weighted mean of the pool and proj_mean the weighted mean of its
+    projections.  Comparing the smoothed conditional mean against the
+    equally smoothed projection (rather than the point value Bx) cancels
+    the first-order kernel bias, which otherwise dominates in the
+    projection tails.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows, w = _window(pool, x)
@@ -347,28 +334,10 @@ def kernel_mu(pool: ForwardPool, x):
         raise DegenerateDensityError(f"no pool mass near x = {x}")
     mu = (w.astype(np.float32) @ pool.z[rows]).astype(np.float64) / sw
     proj_mean = (w @ pool.proj[rows]) / sw
-    # sum_i wl_i^2 ||z_i - mu||^2, expanded over the blocks of wl z
-    rows_l, wl = _nearest(rows, w, _NOISE_CAP)
-    wl32 = wl.astype(np.float32)
-    sq = 0.0
-    cross = np.zeros(pool.d)
-    for part, block in _window_blocks(pool.z, rows_l, wl32):
-        sq += float(np.einsum("nd,nd->n", block, block).sum(dtype=np.float64))
-        cross += wl32[part] @ block
-    resid_sq = sq - 2.0 * float(mu @ cross) + float(mu @ mu) * float(wl @ wl)
-    noise = math.sqrt(max(resid_sq, 0.0)) / sw
-    return mu, proj_mean, noise
-
-
-def kernel_mu_deviation(pool: ForwardPool, x):
-    """||mu_hat - B proj_mean||: the smoothed conditional-mean deviation.
-
-    Comparing the smoothed conditional mean against the equally smoothed
-    projection (rather than the point value Bx) cancels the first-order
-    kernel bias, which otherwise dominates in the projection tails.
-    """
-    mu, proj_mean, noise = kernel_mu(pool, x)
-    return float(np.linalg.norm(mu - pool.b @ proj_mean)), noise
+    p = pool.p
+    f_hat = sw / (pool.n * (2 * math.pi) ** (p / 2) * _bandwidth_at(pool, x) ** p)
+    log_phi = -0.5 * float(x @ x) - 0.5 * p * math.log(2 * math.pi)
+    return float(np.linalg.norm(mu - pool.b @ proj_mean)), f_hat / math.exp(log_phi)
 
 
 def eigsh(a, **kwargs):
@@ -407,7 +376,7 @@ def kernel_delta_norm(pool: ForwardPool, x):
     proj_second = np.einsum("n,ni,nj->ij", w, proj_l, proj_l) / sw
     shift = proj_second - np.eye(pool.p)
     gram = np.zeros((d, d))
-    for _, block in _window_blocks(pool.z, rows, np.sqrt(w, dtype=np.float32)):
+    for block in _window_blocks(pool.z, rows, np.sqrt(w, dtype=np.float32)):
         gram += block.T @ block
     delta = gram / sw - np.eye(d) - b @ shift @ b.T
     # one eigen path at every d: eigsh with a fixed start vector, which
@@ -539,6 +508,8 @@ def g_membership(
         raise InvalidDimensionError("need d >= 3 so that log d > 1")
     if n_x < 100:
         raise InvalidDimensionError("need n_x >= 100")
+    if n_inner < 1000:
+        raise InvalidDimensionError("need n_inner >= 10^3")
     if tau1 is not None and not tau1 > 0.0:
         raise InvalidDimensionError("need tau1 > 0")
     t1_default, tau2 = balanced_tuning(tau, _XI_EFF, PART_A)
@@ -564,8 +535,8 @@ def g_membership(
     pool = build_pool(spec, B, n_pool=n_inner, rng=rng)
     vals = np.empty(n_x)
     for j, x in enumerate(xs):
-        dev, _ = kernel_mu_deviation(pool, x)
-        vals[j] = dev**2 * kernel_h(pool, x) ** 2
+        dev, h = kernel_mu_deviation(pool, x)
+        vals[j] = dev**2 * h**2
     integral = ball_prob * float(np.mean(vals))
     se = ball_prob * float(np.std(vals)) / math.sqrt(n_x)
     return GMembershipReport(

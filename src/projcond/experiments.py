@@ -190,11 +190,12 @@ RANGES = {
     "tau": (lambda a: 0 < a["tau"] < 1, "need 0 < tau < 1"),
     "eps_grid": (lambda a: len(set(a["eps_grid"])) >= 2 and all(e > 0 for e in a["eps_grid"]),
                  "need at least 2 distinct values, all > 0"),
-    # g-membership's n_inner is one pool size, not keyed by d
-    "n_inner": (lambda a: not isinstance(a["n_inner"], dict)
-                or (set(a["n_inner"]) <= set(a["d_list"])
-                    and all(n >= 1000 for n in a["n_inner"].values())),
-                "need every key to be a d of d_list and every pool size >= 10^3"),
+    # conditional-linearity keys its pool sizes by d; g-membership's n_inner
+    # is one pool size
+    "n_inner": (lambda a: (set(a["n_inner"]) <= set(a["d_list"])
+                           and all(n >= 1000 for n in a["n_inner"].values()))
+                if isinstance(a["n_inner"], dict) else a["n_inner"] >= 1000,
+                "need every pool size >= 10^3, and each key, when keyed by d, a d of d_list"),
     "bandwidths": (lambda a: set(a["bandwidths"]) <= set(a["d_list"])
                    and all(h > 0 for h in a["bandwidths"].values()),
                    "need every key to be a d of d_list and every bandwidth > 0"),

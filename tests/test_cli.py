@@ -189,6 +189,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # the least d of d_list bounds k and p
     ({"experiment": "moment-conditions", "k": 11, "d_list": [10]}, "'k'"),
     ({"experiment": "conditional-linearity", "p": 40, "d_list": [32, 512]}, "'p'"),
+    # g-membership's one pool size takes the library's 10^3 too: 0 stopped
+    # in build_pool, and 5 ran the test on a 5-row pool
+    ({"experiment": "g-membership", "spec": {"family": "iid-marginal", "marginal": "uniform"},
+      "d": 48, "p": 2, "tau1": 3.0, "n_inner": 0}, "'n_inner'"),
+    ({"experiment": "g-membership", "spec": {"family": "iid-marginal", "marginal": "uniform"},
+      "d": 48, "p": 2, "tau1": 3.0, "n_inner": 5}, "'n_inner'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)

@@ -141,9 +141,16 @@ def test_kernel_engine_agrees_with_ratio_engine(rng_factory):
     x = np.array([0.4])
     est = cond.conditional_estimates(spec, B, x, 200_000, rng)
     pool = cond.build_pool(spec, B, 200_000, rng, bandwidth=0.05)
-    mu_k, _, noise = cond.kernel_mu(pool, x)
+    # the kernel mean over the window at x, and its sampling noise
+    # sqrt(sum_i w_i^2 ||z_i - mu||^2) / sum_i w_i over the 4 000 rows of
+    # highest weight
+    rows, w = cond._window(pool, x)
+    mu_k = w @ pool.z[rows].astype(np.float64) / w.sum()
+    near, w_near = cond._nearest(rows, w, 4000)
+    resid_sq = np.sum((pool.z[near].astype(np.float64) - mu_k) ** 2, axis=1)
+    noise = np.sqrt(w_near**2 @ resid_sq) / w.sum()
     assert np.max(np.abs(est.mu_hat - mu_k)) < 4 * (np.max(est.mu_se) + noise) + 0.02
-    assert abs(est.h_hat - cond.kernel_h(pool, x)) < 0.05
+    assert abs(est.h_hat - cond.kernel_mu_deviation(pool, x)[1]) < 0.05
 
 
 def test_deviation_probability_gaussian_zero(rng_factory):
@@ -180,10 +187,6 @@ def test_deviation_probability_kernel_small_threshold(rng_factory):
     B = linalg.haar_stiefel(32, 1, rng)
     res = cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=50_000, rng=rng)
     assert 0.0 <= res.mean_prob <= 0.1
-    # the mean's inner noise on a pool of the same law, frame and size
-    pool = cond.build_pool(spec, B, 50_000, rng)
-    noise = [cond.kernel_mu_deviation(pool, np.array([x]))[1] for x in (0.0, -1.0, 0.6)]
-    assert 0.0 < np.mean(noise) < 0.25
 
 
 def test_kernel_delta_norm_reproducible_on_eigsh_path(rng_factory):
@@ -276,8 +279,9 @@ def test_build_pool_sorts_like_a_copy(rng_factory, p):
 def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
     # a hand-built sorted pool whose window at x = 0 weighs exactly m rows:
     # the whole band at p = 1, scattered rows of the band at p = 2; the
-    # blocked weighted Gram and mean match one-shot float64 sums, and the
-    # eigsh norm matches a float64 eigvalsh of the reference deviation
+    # blocked weighted Gram, the mean deviation and the density ratio match
+    # one-shot float64 sums, and the eigsh norm matches a float64 eigvalsh
+    # of the reference deviation
     rng = rng_factory("window-blocks", 10 * m + p)
     d, n_far = 12, 3000
     radius = np.concatenate([rng.uniform(0.0, 1.9, m), rng.uniform(5.0, 8.0, n_far)])
@@ -297,14 +301,19 @@ def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
     zr = z[inside].astype(np.float64)
     sw = w.sum()
     mu_ref = w @ zr / sw
+    dev_ref = np.linalg.norm(mu_ref - pool.b @ (w @ proj[inside] / sw))
+    # f_hat(0) / phi_p(0): the (2 pi)^(p/2) factors cancel, and the balloon
+    # keeps the bandwidth 0.5 at x = 0
+    h_ref = sw / (pool.n * 0.5**p)
     gram_ref = (zr * w[:, None]).T @ zr
     pr = proj[inside]
     shift = np.einsum("n,ni,nj->ij", w, pr, pr) / sw - np.eye(p)
     delta_ref = gram_ref / sw - np.eye(d) - pool.b @ shift @ pool.b.T
     norm_ref = float(np.max(np.abs(np.linalg.eigvalsh(delta_ref))))
 
-    mu = cond.kernel_mu(pool, x)[0]
-    assert np.linalg.norm(mu - mu_ref) <= 1e-5 * np.linalg.norm(mu_ref)
+    dev, h = cond.kernel_mu_deviation(pool, x)
+    assert dev == pytest.approx(dev_ref, rel=1e-5)
+    assert h == pytest.approx(h_ref, rel=1e-12)
     assert cond.kernel_delta_norm(pool, x) == pytest.approx(norm_ref, rel=1e-5)
 
 
@@ -330,7 +339,7 @@ def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory, p):
 
 def test_kernel_mu_counts_weighted_rows_not_band_rows():
     # at p = 2 the band |proj_1 - x_1| <= 4h holds five rows, but the 4h disk
-    # around x holds one: too little mass for a mean and its noise
+    # around x holds one: too little mass for a mean
     from projcond.errors import DegenerateDensityError
 
     proj = np.array([[-0.1, 9.0], [-0.05, -7.0], [0.0, 0.0], [0.05, 6.0], [0.1, -8.0],
@@ -341,7 +350,7 @@ def test_kernel_mu_counts_weighted_rows_not_band_rows():
     rows, w = cond._window(pool, x)
     assert rows.stop - rows.start == 5 and np.count_nonzero(w) == 1
     with pytest.raises(DegenerateDensityError):
-        cond.kernel_mu(pool, x)
+        cond.kernel_mu_deviation(pool, x)
     with pytest.raises(DegenerateDensityError):
         cond.kernel_delta_norm(pool, x)
 
@@ -367,8 +376,18 @@ def test_deviation_probability_preconditions(rng_factory):
 
 
 def test_g_membership_regimes(rng_factory):
+    from projcond.errors import InvalidDimensionError
+
     rng = rng_factory("gmem")
     gamma = bounds.gamma_constant(1.0, 1.0, "A")
+    # a pool below 10^3 rows is refused before either shortcut below
+    small = rng_factory("gmem-n-inner")
+    B64 = linalg.haar_stiefel(64, 1, small)
+    for spec, tau1 in ((dist.iid_marginal("uniform", 64), None), (dist.gaussian(64), 3.0),
+                       (dist.iid_marginal("uniform", 64), 3.0)):
+        with pytest.raises(InvalidDimensionError, match="n_inner"):
+            cond.g_membership(spec, B64, tau=0.5, gamma=gamma, n_x=100, n_inner=999,
+                              rng=small, tau1=tau1)
     # M_d <= 1: the good set is everything
     rep = cond.g_membership(dist.iid_marginal("uniform", 64),
                             linalg.haar_stiefel(64, 1, rng),
