@@ -53,7 +53,6 @@ class ConditionalEstimates:
     mu_se: np.ndarray
     delta_op_norm_hat: float
     delta_se: float
-    n_inner: int
 
 
 def _weighted_gram(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -159,7 +158,6 @@ def _ratio_conditional(
         mu_se=mu_se,
         delta_op_norm_hat=delta_hat,
         delta_se=delta_se,
-        n_inner=n,
     )
 
 
@@ -402,13 +400,8 @@ class DeviationProbability:
     noise.
     """
 
-    t: float
     mean_prob: float
-    mean_se: float
     var_prob: float
-    var_se: float
-    n_outer: int
-    n_inner: int
 
 
 def deviation_probability(
@@ -434,10 +427,7 @@ def deviation_probability(
     B = as_stiefel(B)
     if spec.family == "gaussian":
         hit = float(0.0 > t)
-        return DeviationProbability(
-            t=t, mean_prob=hit, mean_se=0.0, var_prob=hit, var_se=0.0,
-            n_outer=n_outer, n_inner=n_inner,
-        )
+        return DeviationProbability(mean_prob=hit, var_prob=hit)
     xs = sample_z(spec, n_outer, rng) @ B.entries
     pool = build_pool(spec, B, n_pool=n_inner, rng=rng, bandwidth=bandwidth)
 
@@ -447,21 +437,7 @@ def deviation_probability(
         mean_hits += kernel_mu_deviation(pool, x)[0] > t
         var_hits += kernel_delta_norm(pool, x) > t
 
-    mean_p = mean_hits / n_outer
-    var_p = var_hits / n_outer
-
-    def binom(q):
-        return math.sqrt(q * (1.0 - q) / n_outer)
-
-    return DeviationProbability(
-        t=t,
-        mean_prob=mean_p,
-        mean_se=binom(mean_p),
-        var_prob=var_p,
-        var_se=binom(var_p),
-        n_outer=n_outer,
-        n_inner=n_inner,
-    )
+    return DeviationProbability(mean_prob=mean_hits / n_outer, var_prob=var_hits / n_outer)
 
 
 @dataclass
@@ -470,7 +446,7 @@ class GMembershipReport:
 
     member is the point-estimate rule integral_hat <= delta_d; the standard
     error is reported alongside.  When M_d <= 1 the good set is the whole
-    manifold and membership holds unconditionally; n_x counts the x's drawn.
+    manifold and membership holds unconditionally.
     """
 
     M_d: float
@@ -478,7 +454,6 @@ class GMembershipReport:
     integral_hat: float
     integral_se: float
     member: bool
-    n_x: int
 
 
 def g_membership(
@@ -519,7 +494,7 @@ def g_membership(
     if m_d <= 1.0 or spec.family == "gaussian":
         return GMembershipReport(
             M_d=m_d, delta_d=delta_d, integral_hat=0.0, integral_se=0.0,
-            member=True, n_x=0,
+            member=True,
         )
 
     ball_prob = float(chi2.cdf(m_d**2, df=p))
@@ -541,5 +516,5 @@ def g_membership(
     se = ball_prob * float(np.std(vals)) / math.sqrt(n_x)
     return GMembershipReport(
         M_d=m_d, delta_d=delta_d, integral_hat=integral, integral_se=se,
-        member=bool(integral <= delta_d), n_x=n_x,
+        member=bool(integral <= delta_d),
     )

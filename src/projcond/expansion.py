@@ -249,9 +249,6 @@ class PolynomialPsi:
     """The symmetrized degree-k polynomial with coefficient map C(H)."""
 
     k: int
-    p: int
-    d: int
-    x_norm_sq: float
     coeffs: dict
 
     def evaluate(self, S) -> float:
@@ -274,7 +271,7 @@ def psi_poly(x, k: int, p: int, d: int) -> PolynomialPsi:
     for perm in perms:
         acc = poly_add(acc, poly_relabel(raw, perm))
     coeffs = {key: val / len(perms) for key, val in acc.items() if abs(val) > PRUNE_EPS}
-    return PolynomialPsi(k=k, p=p, d=d, x_norm_sq=xsq, coeffs=coeffs)
+    return PolynomialPsi(k=k, coeffs=coeffs)
 
 
 def psi_eval(x, S, d: int, p: int) -> float:

@@ -301,10 +301,10 @@ def run_bartlett_check(
         except (ConstraintViolatedError, RankDeficientError):
             continue
         kept += 1
-        fr = linalg.frame_decompose(B, xx, w)
+        lam = linalg.frame_lambda(B, xx, w)
         gram = w @ w.T
         target = 1.0 - float(xx @ xx * np.ones(k) @ np.linalg.solve(gram, np.ones(k)))
-        worst = max(worst, abs(fr.det_lambda - target))
+        worst = max(worst, abs(float(np.prod(np.diagonal(lam)) ** 2) - target))
     skipped = f";skipped={n_frames - kept}" if kept < n_frames else ""
     rows.append(exact_row("bartlett-check", f"d={d};p={p};k={k};lambda_det;frames={n_frames}{skipped}",
                           worst if kept else math.inf, 0.0, 1e-8))
@@ -349,11 +349,12 @@ def run_moment_conditions(
         est, se, target = moments.estimate_monomial_mean(law, d, mono, n_blocks, rng)
         rows.append(ReportRow("moment-conditions",
                               f"{law.label};d={d};G=(1,2)^2;n={n_blocks}", est, se, target))
-        alpha, alpha_se = moments.estimate_b1a(law, d, k, 0.5, max(n_blocks // 4, 1000), rng)
+        alpha, alpha_se = moments.estimate_b1a(
+            law, d, k, moments.DEFAULT_EPSILON, max(n_blocks // 4, 1000), rng)
         rows.append(info_row("moment-conditions",
                              f"{law.label};d={d};k={k};alpha_hat={alpha:.4f};se={alpha_se:.4f}",
                              alpha))
-        cons = moments.estimated_constants(law, d, k, max(n_blocks // 4, 1000), rng)
+        cons = moments.estimated_constants(law, d, k, max(n_blocks // 4, 1000), rng, alpha)
         record = json.dumps(cons.to_json(), sort_keys=True, separators=(",", ":"))
         rows.append(info_row("moment-conditions",
                              f"{law.label};d={d};constants={record}", cons.alpha))

@@ -5,14 +5,12 @@ Conventions
 -----------
 A Stiefel point is a d x p matrix B with orthonormal columns.  Throughout,
 ``vectors`` denotes a k x d array holding d-vectors w_1, ..., w_k as rows,
-all sharing the projection B'w_j = x.  Frames carry a double index set: the
-first p columns are the B-block (signed indices 1-p, ..., 0) and the
-remaining d-p columns are the Gram-Schmidt complements (indices 1, ..., d-p).
+all sharing the projection B'w_j = x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,34 +150,6 @@ def stiefel_from_constraints(vectors, x) -> StiefelMatrix:
     return StiefelMatrix(d=d, p=p, entries=b)
 
 
-@dataclass
-class GramSchmidtFrame:
-    """Triangular double-frame decomposition of (B, w_1..w_k, x).
-
-    ``betas`` is the orthogonal d x d matrix [B, beta_1, ..., beta_{d-p}]
-    (Gram-Schmidt of the w_j against B), ``cs`` the orthogonal d x d matrix
-    [C, c_1, ..., c_{d-p}] (Gram-Schmidt of the w_j alone, completed on the
-    orthocomplement).  S = betas'M and T = cs'M for M = [B, N_full], stored
-    with the zero patterns of the triangular structure imposed exactly.
-    """
-
-    d: int
-    p: int
-    k: int
-    x: np.ndarray
-    betas: np.ndarray
-    cs: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
-    Lambda_k: np.ndarray
-    kappa_sq: np.ndarray
-    zeta: np.ndarray
-    det_lambda: float = field(init=False)
-
-    def __post_init__(self):
-        self.det_lambda = float(np.prod(np.diagonal(self.Lambda_k)) ** 2)
-
-
 def _mgs_against(basis: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     """One modified Gram-Schmidt sweep of v against an orthonormal list."""
     u = v.copy()
@@ -188,12 +158,13 @@ def _mgs_against(basis: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     return u
 
 
-def frame_decompose(B, x, vectors) -> GramSchmidtFrame:
-    """Build the triangular frames for B, x, and vectors with B'w_j = x.
+def frame_lambda(B, x, vectors) -> np.ndarray:
+    """The lower-triangular k x k Lambda_k of B, x, and vectors with B'w_j = x.
 
-    The j-th columns of S, T and Lambda depend only on w_1..w_j and x; the
-    supplied k vectors are deterministically completed to d-p so that the
-    returned frames are full orthogonal matrices.
+    beta_j is the Gram-Schmidt of w_j against [B, beta_1..beta_{j-1}] and
+    c_j that of w_j against c_1..c_{j-1}; Lambda_k = (c_i'beta_j), so its
+    first j rows depend only on w_1..w_j, and
+    det(Lambda_k Lambda_k') = 1 - ||x||^2 iota'(N'N)^{-1} iota.
     """
     B = as_stiefel(B)
     d, p = B.d, B.p
@@ -210,78 +181,29 @@ def frame_decompose(B, x, vectors) -> GramSchmidtFrame:
     proj_err = np.max(np.abs(w @ bmat - x[None, :]))
     if proj_err > FRAME_TOL:
         raise ConstraintViolatedError(f"B'w_j != x, max error {proj_err:.3e}")
-    combined = np.concatenate([bmat, w.T], axis=1)
-    sv = np.linalg.svd(combined, compute_uv=False)
+    sv = np.linalg.svd(np.concatenate([bmat, w.T], axis=1), compute_uv=False)
     if sv[-1] < SINGULAR_RATIO * sv[0]:
         raise RankDeficientError("columns of B and the w_j are numerically dependent")
 
-    # deterministic completion: w_{k+j} = Bx + u_j with u_j spanning the
-    # orthocomplement of [B, w_1..w_k]; columns 1..k of every output are
-    # unaffected by the completion.
-    q_full, _ = _qr_positive(combined)
-    resid = np.eye(d) - q_full @ q_full.T
-    qc, rc = _qr_positive(resid)
-    order = np.argsort(-np.abs(np.diagonal(rc)))
-    comp = qc[:, order[: d - p - k]]
-    bx = bmat @ x
-    w_full = np.concatenate([w, (bx[None, :] + comp.T)], axis=0) if d - p - k else w
-
-    m = d - p
     betas: list[np.ndarray] = []
     cs: list[np.ndarray] = []
     b_cols = [bmat[:, j] for j in range(p)]
-    for j in range(m):
-        u = _mgs_against(b_cols + betas, w_full[j])
+    for j in range(k):
+        u = _mgs_against(b_cols + betas, w[j])
         u = _mgs_against(b_cols + betas, u)  # second sweep for stability
         nu = np.linalg.norm(u)
-        if nu < SINGULAR_RATIO * max(1.0, np.linalg.norm(w_full[j])):
+        if nu < SINGULAR_RATIO * max(1.0, np.linalg.norm(w[j])):
             raise RankDeficientError(f"vector {j + 1} lies in the span of B and its predecessors")
         betas.append(u / nu)
-        v = _mgs_against(cs, w_full[j])
+        v = _mgs_against(cs, w[j])
         v = _mgs_against(cs, v)
         cs.append(v / np.linalg.norm(v))
-    # C-block: Gram-Schmidt of the B columns (descending) against span(N)
-    c_block: list[np.ndarray] = []
-    for j in range(p - 1, -1, -1):
-        v = _mgs_against(cs + c_block, bmat[:, j])
-        v = _mgs_against(cs + c_block, v)
-        c_block.append(v / np.linalg.norm(v))
-    c_block.reverse()
-
-    cal_b = np.column_stack([bmat] + betas)
-    cal_c = np.column_stack(c_block + cs)
-
-    # S and T with the proven zero patterns stored exactly
-    s_mat = np.zeros((d, d))
-    t_mat = np.zeros((d, d))
-    s_mat[:p, :p] = bmat.T @ bmat
-    t_mat[:p, :p] = cal_c[:, :p].T @ bmat
-    t_mat[p:, :p] = np.array(cs) @ bmat
-    for j in range(m):
-        s_mat[:p, p + j] = bmat.T @ w_full[j]
-        for i in range(j + 1):
-            s_mat[p + i, p + j] = betas[i] @ w_full[j]
-            t_mat[p + i, p + j] = cs[i] @ w_full[j]
 
     lam = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1):
             lam[i, j] = cs[i] @ betas[j]
-
-    kappa_sq = np.empty(k)
-    kappa_sq[0] = float(x @ x)
-    for j in range(1, k):
-        c_prev = np.array(cs[:j]).T  # orthonormal basis of span(w_1..w_j)
-        a = bmat - c_prev @ (c_prev.T @ bmat)
-        qa, ra = _qr_positive(a)
-        kappa_sq[j] = float(np.sum((qa.T @ w_full[j]) ** 2))
-
-    zeta = np.array([cs[i] @ bx for i in range(k - 1)]) if k > 1 else np.zeros(0)
-
-    return GramSchmidtFrame(
-        d=d, p=p, k=k, x=x, betas=cal_b, cs=cal_c, S=s_mat, T=t_mat,
-        Lambda_k=lam, kappa_sq=kappa_sq, zeta=zeta,
-    )
+    return lam
 
 
 def triangular_statistics(
@@ -312,23 +234,12 @@ def triangular_statistics(
 
 @dataclass
 class BartlettReport:
-    """Distributional checks on the triangular coordinates of clone draws."""
+    """Distributional checks on the triangular coordinates of clone draws:
+    the smallest KS p-value over the Bartlett laws, and the largest |correlation|
+    between the s-entries."""
 
-    d: int
-    p: int
-    k: int
-    n_reps: int
-    ks_offdiag: dict          # (i, j) -> (statistic, p-value), s_ij vs N(0,1)
-    ks_diag_sq: dict          # j -> (statistic, p-value), s_jj^2 vs chi2(d-p-j+1)
-    ks_t11_sq: tuple          # t_11^2 - ||x||^2 vs chi2(d-p)
+    min_pvalue: float
     max_abs_correlation: float
-    min_pvalue: float = field(init=False)
-
-    def __post_init__(self):
-        ps = [pv for _, pv in self.ks_offdiag.values()]
-        ps += [pv for _, pv in self.ks_diag_sq.values()]
-        ps.append(self.ks_t11_sq[1])
-        self.min_pvalue = float(min(ps))
 
 
 def bartlett_distribution_check(
@@ -353,29 +264,20 @@ def bartlett_distribution_check(
     tri = triangular_statistics(d, p, k, x, n_reps, rng)
     s, t = tri["s"], tri["t"]
 
-    ks_offdiag = {}
+    pvalues = []
     streams = []
     for j in range(k):
         for i in range(j):
-            res = stats.kstest(s[:, i, j], "norm")
-            ks_offdiag[(i + 1, j + 1)] = (float(res.statistic), float(res.pvalue))
+            pvalues.append(stats.kstest(s[:, i, j], "norm").pvalue)
             streams.append(s[:, i, j])
-    ks_diag_sq = {}
     for j in range(k):
-        dof = d - p - (j + 1) + 1
-        res = stats.kstest(s[:, j, j] ** 2, "chi2", args=(dof,))
-        ks_diag_sq[j + 1] = (float(res.statistic), float(res.pvalue))
+        pvalues.append(stats.kstest(s[:, j, j] ** 2, "chi2", args=(d - p - j,)).pvalue)
         streams.append(s[:, j, j])
-    res = stats.kstest(t[:, 0, 0] ** 2 - 1.0, "chi2", args=(d - p,))  # ||x||^2 = 1
-    ks_t11 = (float(res.statistic), float(res.pvalue))
+    # ||x||^2 = 1
+    pvalues.append(stats.kstest(t[:, 0, 0] ** 2 - 1.0, "chi2", args=(d - p,)).pvalue)
 
-    mat = np.array(streams)
-    corr = np.corrcoef(mat)
+    corr = np.corrcoef(np.array(streams))
     np.fill_diagonal(corr, 0.0)
-    max_corr = float(np.max(np.abs(corr)))
-
     return BartlettReport(
-        d=d, p=p, k=k, n_reps=n_reps,
-        ks_offdiag=ks_offdiag, ks_diag_sq=ks_diag_sq, ks_t11_sq=ks_t11,
-        max_abs_correlation=max_corr,
+        min_pvalue=float(min(pvalues)), max_abs_correlation=float(np.max(np.abs(corr))),
     )

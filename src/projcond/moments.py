@@ -258,15 +258,16 @@ def estimated_constants(
     k: int,
     n_blocks: int,
     rng: np.random.Generator,
+    alpha_hat: float,
 ) -> MomentConditionConstants:
-    """Bundle estimated (alpha, beta) with the density bound into constants,
-    with epsilon = DEFAULT_EPSILON and xi = DEFAULT_XI.
+    """Bundle an alpha estimate (estimate_b1a at epsilon = DEFAULT_EPSILON)
+    and an estimated beta with the density bound into constants, with
+    xi = DEFAULT_XI.
 
     beta is the max scaled deviation over the canonical family (an estimate
     for the tested monomials only); D defaults to the heuristic
     max(1, marginal density bound).
     """
-    alpha_hat, _ = estimate_b1a(spec, d, k, DEFAULT_EPSILON, n_blocks, rng)
     beta = _canonical_beta(spec, d, k, n_blocks, rng, DEFAULT_XI)
     density_sup = moment_oracle(spec).density_sup
     return MomentConditionConstants(

@@ -165,8 +165,6 @@ def test_deviation_probability_gaussian_zero(rng_factory):
     for t, hit in ((0.05, 0.0), (0.0, 0.0), (-1e-12, 1.0)):
         res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=1500, rng=rng)
         assert (res.mean_prob, res.var_prob) == (hit, hit)
-        assert (res.mean_se, res.var_se) == (0.0, 0.0)
-        assert (res.n_outer, res.n_inner) == (100, 1500)
     # the generator was not advanced
     assert np.array_equal(rng.random(4), replay.random(4))
     with pytest.raises(InvalidDimensionError):
@@ -388,11 +386,13 @@ def test_g_membership_regimes(rng_factory):
         with pytest.raises(InvalidDimensionError, match="n_inner"):
             cond.g_membership(spec, B64, tau=0.5, gamma=gamma, n_x=100, n_inner=999,
                               rng=small, tau1=tau1)
-    # M_d <= 1: the good set is everything
-    rep = cond.g_membership(dist.iid_marginal("uniform", 64),
-                            linalg.haar_stiefel(64, 1, rng),
+    # M_d <= 1: the good set is everything, and nothing is drawn
+    B64 = linalg.haar_stiefel(64, 1, rng)
+    replay = copy.deepcopy(rng)
+    rep = cond.g_membership(dist.iid_marginal("uniform", 64), B64,
                             tau=0.5, gamma=gamma, n_x=100, n_inner=1000, rng=rng)
-    assert rep.M_d <= 1.0 and rep.member and rep.n_x == 0
+    assert np.array_equal(rng.random(4), replay.random(4))
+    assert rep.M_d <= 1.0 and rep.member
     # gaussian: the integrand vanishes identically, so nothing is drawn
     B40 = linalg.haar_stiefel(40, 1, rng)
     replay = copy.deepcopy(rng)
@@ -407,7 +407,7 @@ def test_g_membership_regimes(rng_factory):
                               linalg.haar_stiefel(64, 1, rng),
                               tau=0.5, gamma=gamma, n_x=100, n_inner=40_000, rng=rng,
                               tau1=3.0)
-    assert rep_u.n_x == 100 and rep_u.M_d > 1.0
+    assert rep_u.M_d > 1.0
     assert rep_u.integral_hat > 0.0 and rep_u.integral_se > 0.0
     assert rep_u.member == (rep_u.integral_hat <= rep_u.delta_d)
 

@@ -1,4 +1,5 @@
-"""Every public module-level function or class of projcond is reached.
+"""Every public module-level function or class of projcond is reached, and so
+is every field of its dataclasses.
 
 A name counts as reached when the package refers to it (as a name or an
 attribute) somewhere outside its own definition and outside the smoke
@@ -7,6 +8,14 @@ profile ``acceptance.run_smoke``, when perfbench's traced rounds wrap it
 reason it stays.  Code that only the smoke profile and the unit tests call
 checks nothing the criteria and run kinds rely on, so it is deleted or put
 into a report instead.
+
+A field or property of a ``@dataclass`` class counts as reached when its
+name is read as an attribute somewhere in the package or in perfbench,
+outside that class's own ``__post_init__`` and outside the smoke profile,
+or when it is on ALLOWED_FIELDS.  The match is by name alone, so a field
+named like another attribute that is read (``d``, ``p``, ``k``, ``t``, ``T``,
+as in ``B.d``, ``inputs.t`` or ``a.T``) always counts as reached: this guard
+cannot see such a field go unread.
 """
 
 import ast
@@ -15,12 +24,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "projcond"
-SPANS = ROOT / "perfbench" / "spans.py"
+BENCH = ROOT / "perfbench"
+SPANS = BENCH / "spans.py"
 
 # module.name -> why the name stays although nothing in the package calls it
 ALLOWED = {
     "expansion.psi_poly": "the dense reference that test_psi_poly_agrees_with_eval holds psi_eval to",
 }
+
+# module.Class.field -> why the field stays although nothing reads it
+ALLOWED_FIELDS: dict[str, str] = {}
 
 SMOKE = ("acceptance", "run_smoke")
 
@@ -72,3 +85,56 @@ def test_every_public_name_is_reached():
     # equality, not inclusion: an allowed name that is deleted or comes
     # into use again leaves a stale entry behind
     assert sorted(_unreached()) == sorted(ALLOWED)
+
+
+def _reads(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    out = []
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            out.append(item.target.id)
+        elif isinstance(item, ast.FunctionDef) and any(
+                getattr(dec, "id", None) == "property" for dec in item.decorator_list):
+            out.append(item.name)
+    return out
+
+
+def _unread_fields() -> list[str]:
+    # attribute name -> where it is read: the (module, class) whose
+    # __post_init__ reads it, or None for any other place
+    reads: dict[str, set] = {}
+    fields = []
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        module = path.stem
+        in_src = path.parent == SRC
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if in_src and (module, getattr(stmt, "name", None)) == SMOKE:
+                continue
+            parts = [(stmt, None)]
+            if isinstance(stmt, ast.ClassDef):
+                if in_src and _is_dataclass(stmt):
+                    fields += [(module, stmt.name, f) for f in _fields(stmt)]
+                parts = [(item, (module, stmt.name) if getattr(item, "name", None) == "__post_init__"
+                          else None) for item in stmt.body + stmt.decorator_list + stmt.bases]
+            for node, where in parts:
+                for attr in _reads(node):
+                    reads.setdefault(attr, set()).add(where)
+    return [f"{module}.{cls}.{name}" for module, cls, name in fields
+            if not reads.get(name, set()) - {(module, cls)}]
+
+
+def test_every_dataclass_field_is_read():
+    assert sorted(_unread_fields()) == sorted(ALLOWED_FIELDS)

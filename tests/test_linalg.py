@@ -77,6 +77,10 @@ def test_stiefel_from_constraints_infeasible():
         linalg.stiefel_from_constraints(w, np.array([1.0]))
 
 
+def _det_lambda(lam):
+    return float(np.prod(np.diagonal(lam)) ** 2)
+
+
 def test_frame_x_zero_unit_determinant(rng_factory):
     rng = rng_factory("frame-x0")
     d, p, k = 12, 2, 3
@@ -84,21 +88,8 @@ def test_frame_x_zero_unit_determinant(rng_factory):
     x = np.zeros(p)
     B = linalg.stiefel_from_constraints(w, x)
     w_adj = w - (w @ B.entries) @ B.entries.T  # exact B'w = 0
-    fr = linalg.frame_decompose(B, x, w_adj)
-    assert abs(fr.det_lambda - 1.0) < 1e-8
-
-
-def test_frame_k1_diagonal_identity(rng_factory):
-    rng = rng_factory("frame-k1")
-    d, p = 10, 2
-    x = np.array([0.8, 0.1])
-    w = rng.standard_normal((1, d)) * 2.0
-    B = linalg.stiefel_from_constraints(w, x)
-    fr = linalg.frame_decompose(B, x, w)
-    t11 = fr.T[p, p]
-    s11 = fr.S[p, p]
-    assert abs(t11 - math.sqrt(float(x @ x) + s11**2)) < 1e-8
-    assert abs(fr.kappa_sq[0] - float(x @ x)) < 1e-12
+    lam = linalg.frame_lambda(B, x, w_adj)
+    assert abs(_det_lambda(lam) - 1.0) < 1e-8
 
 
 def test_frame_determinant_oracle_random(rng_factory):
@@ -111,58 +102,30 @@ def test_frame_determinant_oracle_random(rng_factory):
         w = rng.standard_normal((k, d)) * math.sqrt(d / 4.0)
         x = rng.standard_normal(p) * 0.3
         B = linalg.stiefel_from_constraints(w, x)
-        fr = linalg.frame_decompose(B, x, w)
+        lam = linalg.frame_lambda(B, x, w)
+        assert np.array_equal(np.triu(lam, 1), np.zeros((k, k)))
         target = 1.0 - float(x @ x * np.ones(k) @ np.linalg.solve(w @ w.T, np.ones(k)))
-        worst = max(worst, abs(fr.det_lambda - target))
+        worst = max(worst, abs(_det_lambda(lam) - target))
     assert worst < 1e-8
 
 
-def test_frame_structure_and_consistency(rng_factory):
-    rng = rng_factory("frame-struct")
-    d, p, k = 14, 2, 4
-    x = np.array([0.5, -0.2])
-    w = rng.standard_normal((k, d)) * 1.3
-    B = linalg.stiefel_from_constraints(w, x)
-    fr = linalg.frame_decompose(B, x, w)
-    assert np.max(np.abs(fr.betas.T @ fr.betas - np.eye(d))) < 1e-8
-    assert np.max(np.abs(fr.cs.T @ fr.cs - np.eye(d))) < 1e-8
-    # S structure: [[I_p, x iota'], [0, upper-triangular]]
-    assert np.max(np.abs(fr.S[:p, :p] - np.eye(p))) < 1e-8
-    for j in range(k):
-        assert np.max(np.abs(fr.S[:p, p + j] - x)) < 1e-8
-    lower = fr.S[p:, :][:, p:]
-    assert np.array_equal(np.tril(lower, -1), np.zeros_like(lower))
-    # C'N = 0 exactly by construction, Lambda lower-triangular
-    assert np.array_equal(fr.T[:p, p:], np.zeros((p, d - p)))
-    assert np.array_equal(np.triu(fr.Lambda_k, 1), np.zeros((k, k)))
-    # t_kk^2 = kappa_k^2 + s_kk^2 and the shifted-column identity
-    for j in range(k):
-        assert abs(fr.T[p + j, p + j] - math.sqrt(fr.kappa_sq[j] + fr.S[p + j, p + j] ** 2)) < 1e-8
-    tvec = fr.T[p: p + k - 1, p + k - 1]
-    svec = fr.S[p: p + k - 1, p + k - 1]
-    assert np.max(np.abs(tvec - (fr.zeta + fr.Lambda_k[: k - 1, : k - 1] @ svec))) < 1e-8
-
-
 def test_frame_column_dependency_bitwise(rng_factory):
-    # column j of the triangular blocks depends only on w_1..w_j and x
+    # the first j rows of Lambda_k depend only on w_1..w_j and x
     rng = rng_factory("frame-cols")
     d, p, k, j = 16, 1, 4, 2
     x = np.array([0.3])
     w = rng.standard_normal((k, d))
     B = linalg.stiefel_from_constraints(w, x)
     w = w - (w @ B.entries) @ B.entries.T + np.outer(np.ones(k), B.entries[:, 0] * x[0])
-    fr1 = linalg.frame_decompose(B, x, w)
+    lam1 = linalg.frame_lambda(B, x, w)
     w_alt = w.copy()
     fresh = rng.standard_normal((k - j, d))
     fresh = fresh - (fresh @ B.entries) @ B.entries.T + np.outer(
         np.ones(k - j), B.entries[:, 0] * x[0]
     )
     w_alt[j:] = fresh
-    fr2 = linalg.frame_decompose(B, x, w_alt)
-    # the first j w-columns of S and T are functions of w_1..w_j and x only
-    assert np.array_equal(fr1.S[:, p: p + j], fr2.S[:, p: p + j])
-    assert np.array_equal(fr1.T[:, p: p + j], fr2.T[:, p: p + j])
-    assert np.array_equal(fr1.Lambda_k[:j, :j], fr2.Lambda_k[:j, :j])
+    lam2 = linalg.frame_lambda(B, x, w_alt)
+    assert np.array_equal(lam1[:j, :j], lam2[:j, :j])
 
 
 def test_frame_errors(rng_factory):
@@ -171,14 +134,14 @@ def test_frame_errors(rng_factory):
     B = linalg.haar_stiefel(d, p, rng)
     w = rng.standard_normal((2, d))
     with pytest.raises(ConstraintViolatedError):
-        linalg.frame_decompose(B, np.array([5.0, 5.0]), w)
+        linalg.frame_lambda(B, np.array([5.0, 5.0]), w)
     x = np.zeros(p)
     w0 = w - (w @ B.entries) @ B.entries.T
     w_dup = np.vstack([w0[0], w0[0] * (1 + 1e-13)])
     with pytest.raises(RankDeficientError):
-        linalg.frame_decompose(B, x, w_dup)
+        linalg.frame_lambda(B, x, w_dup)
     with pytest.raises(InvalidDimensionError):
-        linalg.frame_decompose(B, x, rng.standard_normal((d - p + 1, d)))
+        linalg.frame_lambda(B, x, rng.standard_normal((d - p + 1, d)))
 
 
 def test_bartlett_check_small(rng_factory):
@@ -205,6 +168,24 @@ def test_triangular_statistics_blocks_equal_one_draw(rng_factory):
     assert np.array_equal(tri["s"], np.transpose(np.linalg.cholesky(gram - x @ x), (0, 2, 1)))
     assert np.array_equal(tri["t"], np.transpose(np.linalg.cholesky(gram), (0, 2, 1)))
     assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+def test_triangular_statistics_are_gram_schmidt_coordinates(rng_factory):
+    # the s-block is R of the QR of [B, W'] past the B-block (the w_j in the
+    # frame of Gram-Schmidt against B) and the t-block R of the QR of W'
+    # alone: the transposed Cholesky factors of W_iW_j' - ||x||^2 and W_iW_j'
+    # are these triangular coordinates, on the clones the call drew
+    rng = rng_factory("tri-gs")
+    d, p, k, n = 20, 2, 3, 2000
+    x = np.array([0.8, -0.5])
+    ref_rng = copy.deepcopy(rng)
+    tri = linalg.triangular_statistics(d, p, k, x, n, rng)
+    b = linalg.haar_stiefel_batch(d, p, 1, ref_rng)[0]
+    w_t = np.transpose(linalg.clone_vectors(b, x, ref_rng.standard_normal((n, k, d))), (0, 2, 1))
+    _, r_s = linalg._qr_positive(np.concatenate([np.broadcast_to(b, (n, d, p)), w_t], axis=2))
+    _, r_t = linalg._qr_positive(w_t)
+    assert np.max(np.abs(tri["s"] - r_s[:, p:, p:])) < 1e-12
+    assert np.max(np.abs(tri["t"] - r_t)) < 1e-12
 
 
 def test_clone_vectors_matches_written_out_formula(rng_factory):

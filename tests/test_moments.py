@@ -135,8 +135,14 @@ def test_gaussian_reference_limit_and_stability(rng_factory):
 
 def test_estimated_constants_bundle(rng_factory):
     spec = dist.iid_marginal("uniform", 100)
-    cons = mo.estimated_constants(spec, 100, 2, 4000, rng_factory("cons"))
-    assert cons.alpha >= 1.0 and cons.beta > 0.0 and cons.D == 1.0
+    cons = mo.estimated_constants(spec, 100, 2, 4000, rng_factory("cons"), 66.7)
+    assert cons.alpha == 66.7 and cons.beta > 0.0 and cons.D == 1.0
+    # alpha is the estimate it is given, floored at 1, and draws nothing
+    rng, replay = rng_factory("cons-floor"), rng_factory("cons-floor")
+    floor = mo.estimated_constants(spec, 100, 2, 4000, rng, 0.3)
+    beta = mo._canonical_beta(spec, 100, 2, 4000, replay, mo.DEFAULT_XI)
+    assert floor.alpha == 1.0 and floor.beta == max(beta, 1e-12)
+    assert np.array_equal(rng.random(4), replay.random(4))
 
 
 def test_monomial_means_close_to_gaussian_reference(rng_factory):
