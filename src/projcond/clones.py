@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
 from .linalg import clone_vectors, haar_stiefel_batch
-from .streams import batch_mean_se
+from .streams import DRAW_BLOCK, batch_mean_se, draw_ahead
 
 _CHAIN_BATCH = 20000  # samples per batch of clones in the chain identities
 
@@ -181,16 +181,20 @@ def gaussian_chain_identity(
 
     b = haar_stiefel_batch(d, p, 1, rng)[0]
 
-    # each batch of clones is freed when draw returns, before the next is
-    # drawn, which sets the peak memory
-    def draw(nb):
-        w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
+    def statistic(v):
+        w = clone_vectors(b, x, v)
         if not alternating:
             return _product_of_inner_products(w, pairs)
-        stat = np.zeros(nb)
+        stat = np.zeros(v.shape[0])
         for coef, cycle in cycles:
             stat += coef * (_product_of_inner_products(w, cycle) - d + p - 1.0)
         return stat
+
+    # each batch's clones are drawn and reduced DRAW_BLOCK samples at a time,
+    # so only two blocks of Gaussians are held at once
+    def draw(nb):
+        return np.concatenate([statistic(v) for v in draw_ahead(
+            lambda m: rng.standard_normal((m, k, d)), nb, DRAW_BLOCK)])
 
     mean, se = batch_mean_se(n, _CHAIN_BATCH, draw)
     return mean - target, se

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .expansion import MAX_K, remainder_diagnostic
 from .moments import MomentConditionConstants
-from .streams import batch_mean_se, substream
+from .streams import DRAW_BLOCK, batch_mean_se, draw_ahead, substream
 
 CSV_HEADER = ["experiment", "params", "estimate", "se", "target", "pass", "ms"]
 
@@ -269,8 +269,9 @@ def run_clone_density_check(
     """Importance-sampling normalization: E exp(log ratio) = 1 over Gaussians."""
     rows = []
     for xn in x_norms:
-        mean, se = batch_mean_se(n, 20000, lambda nb: np.exp(
-            clones.log_density_ratio_batch(xn**2, rng.standard_normal((nb, k, d)), p)))
+        mean, se = batch_mean_se(n, 20000, lambda nb: np.concatenate([
+            np.exp(clones.log_density_ratio_batch(xn**2, v, p)) for v in draw_ahead(
+                lambda m: rng.standard_normal((m, k, d)), nb, DRAW_BLOCK)]))
         rows.append(ReportRow(
             "clone-density-check", f"d={d};p={p};k={k};|x|={xn};n={n}", mean, se, 1.0
         ))

@@ -20,11 +20,11 @@ from .errors import (
     InvalidDimensionError,
     RankDeficientError,
 )
+from .streams import DRAW_BLOCK, draw_ahead
 
 ORTHO_TOL = 1e-10
 FRAME_TOL = 1e-8
 SINGULAR_RATIO = 1e-10
-_REPS_BLOCK = 10000   # samples per block of triangular_statistics
 
 
 def spectral_norm(sym: np.ndarray) -> float:
@@ -220,13 +220,14 @@ def triangular_statistics(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xsq = float(x @ x)
     b = haar_stiefel_batch(d, p, 1, rng)[0]
-    # the clones are drawn and reduced _REPS_BLOCK samples at a time, in the
+    # the clones are drawn and reduced DRAW_BLOCK samples at a time, in the
     # order of one whole draw, so no (n_reps, k, d) stack is ever held
-    gram = np.empty((n_reps, k, k))
-    for a in range(0, n_reps, _REPS_BLOCK):
-        nb = min(_REPS_BLOCK, n_reps - a)
-        w = clone_vectors(b, x, rng.standard_normal((nb, k, d)))
-        gram[a: a + nb] = np.einsum("nkd,nld->nkl", w, w)
+    def block_gram(v):
+        w = clone_vectors(b, x, v)
+        return np.einsum("nkd,nld->nkl", w, w)
+
+    gram = np.concatenate([block_gram(v) for v in draw_ahead(
+        lambda m: rng.standard_normal((m, k, d)), n_reps, DRAW_BLOCK)])
     l_s = np.linalg.cholesky(gram - xsq)
     l_t = np.linalg.cholesky(gram)
     return {"s": np.transpose(l_s, (0, 2, 1)), "t": np.transpose(l_t, (0, 2, 1))}

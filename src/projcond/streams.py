@@ -28,6 +28,32 @@ def substream(root_seed: int, label: str, index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(seq))
 
 
+DRAW_BLOCK = 2000  # rows per block of the clone loops' draw_ahead; divides their 20 000-row batches
+
+
+def draw_ahead(draw, n: int, block: int):
+    """Yield draw(nb) for consecutive blocks of at most ``block`` of n rows.
+
+    The next block is drawn on one worker thread while the caller reduces
+    the current one (NumPy's generators release the GIL while they fill), so
+    the blocks come in the order, and with the bits, of one serial draw.  The
+    caller must not use the same generator until the loop ends.  A caller
+    that stops early has drawn one extra block; the worker is joined before
+    the generator returns or is closed.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = [min(block, n - start) for start in range(0, n, block)]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(draw, sizes[0]) if sizes else None
+        for nb in sizes[1:]:
+            current = ahead.result()
+            ahead = worker.submit(draw, nb)
+            yield current
+        if ahead is not None:
+            yield ahead.result()
+
+
 def batch_mean_se(n: int, batch: int, draw) -> tuple:
     """Monte Carlo mean and standard error of n i.i.d. values.
 

@@ -465,6 +465,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert child.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # the draw-ahead worker's executor, with the logging it pulls in, loads
+    # only when a clone loop first draws
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, projcond.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "False"
+
+
 def test_run_refuses_an_out_that_would_overwrite_its_config(tmp_path, capsys):
     cfg = _write(tmp_path, "k.json", {
         "experiment": "theorem-bound", "part": "A", "d": 100, "p": 1, "t": 1, "tau": 0.5,

@@ -158,7 +158,7 @@ def test_triangular_statistics_blocks_equal_one_draw(rng_factory):
     # the blocked draw and reduction equal one (n, k, d) draw reduced at
     # once, bitwise, and leave the generator where that draw leaves it
     rng = rng_factory("tri-blocks")
-    d, p, k, n = 20, 2, 3, 2 * linalg._REPS_BLOCK + 123
+    d, p, k, n = 20, 2, 3, 2 * linalg.DRAW_BLOCK + 123
     x = np.array([1.0, 0.0])
     ref_rng = copy.deepcopy(rng)
     tri = linalg.triangular_statistics(d, p, k, x, n, rng)
