@@ -26,6 +26,9 @@ engine for every other law.  Two inner engines are provided.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,6 +422,14 @@ def deviation_probability(
     mu and Delta at that x, and the indicator of a deviation beyond t is
     averaged.  For the Gaussian both deviations are exactly 0 at every x,
     so the frequencies are 1 for t < 0 and 0 otherwise, with nothing drawn.
+
+    The outer points run on every usable core: with n cores the calling
+    thread takes xs[0::n] and n - 1 worker threads take xs[j::n], while
+    every loaded OpenBLAS is held at one thread (its float32 SYRK gains
+    little from a second thread, two points at once nearly twice).  Where no
+    OpenBLAS thread control is found, or n = 1, the loop runs on the calling
+    thread alone.  Each point's computation is the same either way, and a
+    failure raises the error of the first failing x in outer order.
     """
     if n_outer < 100:
         raise InvalidDimensionError("need n_outer >= 10^2")
@@ -430,14 +441,101 @@ def deviation_probability(
         return DeviationProbability(mean_prob=hit, var_prob=hit)
     xs = sample_z(spec, n_outer, rng) @ B.entries
     pool = build_pool(spec, B, n_pool=n_inner, rng=rng, bandwidth=bandwidth)
+    # loaded here, before any worker starts, so that the workers neither race
+    # on its import nor miss its OpenBLAS in the thread-count lookup
+    import scipy.sparse.linalg  # noqa: F401
 
-    mean_hits = 0
-    var_hits = 0
-    for x in xs:
-        mean_hits += kernel_mu_deviation(pool, x)[0] > t
-        var_hits += kernel_delta_norm(pool, x) > t
-
+    controls = _blas_thread_controls()
+    n = min(len(os.sched_getaffinity(0)), n_outer) if controls else 1
+    hits = np.zeros((n_outer, 2), dtype=bool)
+    failures = []
+    workers = [threading.Thread(target=_outer_hits, args=(pool, xs, t, range(j, n_outer, n),
+                                                          hits, failures))
+               for j in range(1, n)]
+    with _one_blas_thread(controls if n > 1 else []):
+        for worker in workers:
+            worker.start()
+        try:
+            _outer_hits(pool, xs, t, range(0, n_outer, n), hits, failures)
+        except BaseException:
+            failures.append((-1, None))  # an interrupt stops the workers at their next x
+            raise
+        finally:
+            for worker in workers:
+                worker.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    mean_hits, var_hits = (int(c) for c in np.count_nonzero(hits, axis=0))
     return DeviationProbability(mean_prob=mean_hits / n_outer, var_prob=var_hits / n_outer)
+
+
+def _outer_hits(pool: ForwardPool, xs: np.ndarray, t: float, share: range,
+                hits: np.ndarray, failures: list) -> None:
+    """Set hits[j] to the mean and variance indicators at xs[j] for the j of
+    share in turn, stopping at its first failure, which is appended to
+    failures as (j, exception) for the caller to raise, or at a j beyond an
+    x that has already failed.  The caller raises the failure of the least
+    j, as a serial loop over xs would.
+    """
+    for j in share:
+        if any(k < j for k, _ in failures):
+            return
+        try:
+            hits[j] = (kernel_mu_deviation(pool, xs[j])[0] > t,
+                       kernel_delta_norm(pool, xs[j]) > t)
+        except Exception as exc:  # raised again by the caller
+            failures.append((j, exc))
+            return
+
+
+# the (set, get) thread-count functions an OpenBLAS build may export: the
+# plain library, and the scipy-openblas wheels that NumPy (64-bit integers)
+# and SciPy (32-bit integers) load
+_BLAS_THREAD_FUNCTIONS = [
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+]
+
+
+def _blas_thread_controls() -> list:
+    """The (set, get) thread-count functions of every OpenBLAS loaded into
+    this process, found by ctypes from the libraries /proc/self/maps lists;
+    empty where there is none or no such listing."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for set_name, get_name in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(handle, set_name) and hasattr(handle, get_name):
+                set_fn, get_fn = getattr(handle, set_name), getattr(handle, get_name)
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                controls.append((set_fn, get_fn))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread(controls: list):
+    """Hold every library of controls (see _blas_thread_controls) at one
+    thread, and restore each one's thread count on exit, also after an
+    exception."""
+    before = [get_fn() for _, get_fn in controls]
+    for set_fn, _ in controls:
+        set_fn(1)
+    try:
+        yield
+    finally:
+        for (set_fn, _), count in zip(controls, before):
+            set_fn(count)
 
 
 @dataclass

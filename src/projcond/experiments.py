@@ -182,6 +182,10 @@ def _least_d(args: dict) -> float:
 # or a d_list
 RANGES = {
     "d": (lambda a: a["d"] >= 2, "need d >= 2"),
+    # each d of d_list keys its own statistics, and a trend row compares one
+    # d with the next larger one
+    "d_list": (lambda a: all(x < y for x, y in zip(a["d_list"], a["d_list"][1:])),
+               "need strictly increasing values"),
     "p": (lambda a: 1 <= a["p"] < _least_d(a), "need 1 <= p < d for every d"),
     "k": (lambda a: 1 <= a["k"] <= _least_d(a) - a.get("p", 0), "need 1 <= k <= d - p for every d"),
     "n": (lambda a: a["n"] >= 1, "need n >= 1"),

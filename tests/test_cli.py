@@ -195,6 +195,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
       "d": 48, "p": 2, "tau1": 3.0, "n_inner": 0}, "'n_inner'"),
     ({"experiment": "g-membership", "spec": {"family": "iid-marginal", "marginal": "uniform"},
       "d": 48, "p": 2, "tau1": 3.0, "n_inner": 5}, "'n_inner'"),
+    # a repeated d made its trend row compare one d's frames with themselves,
+    # and a descending d_list tested the opposite claim
+    ({"experiment": "conditional-linearity", "d_list": [8, 8], "n_frames": 2}, "'d_list'"),
+    ({"experiment": "conditional-linearity", "d_list": [16, 8], "n_frames": 2}, "'d_list'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -474,6 +478,19 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
          "import sys, projcond.cli; print('concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "False"
+
+
+def test_degenerate_kernel_window_names_the_first_outer_x(tmp_path, capsys):
+    # at this bandwidth every outer x of the first frame finds no pool mass;
+    # the message names the first of them, x = 2.14129102 at seed 7, as the
+    # loop over the outer points reported it when it ran on one thread
+    cfg = _write(tmp_path, "degenerate.json", {
+        "seed": 7, "experiment": "conditional-linearity", "d_list": [8], "n_frames": 2,
+        "bandwidths": {"8": 1e-9}, "n_inner": {"8": 1000},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == "error: no pool mass near x = [2.14129102]\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_run_refuses_an_out_that_would_overwrite_its_config(tmp_path, capsys):

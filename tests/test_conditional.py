@@ -1,5 +1,8 @@
 import copy
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -457,3 +460,156 @@ def test_every_eigen_solve_goes_through_the_module_eigsh(monkeypatch, rng_factor
     monkeypatch.setattr(cond, "eigsh", counting)
     assert cond.kernel_delta_norm(pool, x) == expected
     assert len(calls) == 1
+
+
+def _serial_values(spec, B, n_outer, n_inner, rng, bandwidth=None):
+    """The outer points, the pool and the two deviations at each point,
+    drawn as deviation_probability draws them and evaluated one point after
+    another on the calling thread, with every OpenBLAS held at one thread."""
+    xs = dist.sample_z(spec, n_outer, rng) @ B.entries
+    pool = cond.build_pool(spec, B, n_pool=n_inner, rng=rng, bandwidth=bandwidth)
+    with cond._one_blas_thread(cond._blas_thread_controls()):
+        mu = np.array([cond.kernel_mu_deviation(pool, x)[0] for x in xs])
+        delta = np.array([cond.kernel_delta_norm(pool, x) for x in xs])
+    return xs, mu, delta
+
+
+def _thresholds(*values):
+    """Midpoints between neighbouring sorted values at a few ranks, so every
+    threshold leaves some values on each side and none on it."""
+    ts = []
+    for v in values:
+        s = np.sort(v)
+        ts += [0.5 * (s[r] + s[r + 1]) for r in (10, 50, 89)]
+    return ts
+
+
+def _record_threads(monkeypatch) -> set:
+    """The idents of the threads that call kernel_delta_norm from now on."""
+    threads = set()
+    solve = cond.kernel_delta_norm
+
+    def recording(pool, x):
+        threads.add(threading.get_ident())
+        return solve(pool, x)
+
+    monkeypatch.setattr(cond, "kernel_delta_norm", recording)
+    return threads
+
+
+@pytest.mark.parametrize("p, d", [(1, 16), (2, 12)])
+def test_parallel_outer_loop_equals_serial_loop(rng_factory, monkeypatch, p, d):
+    # three shares on any host, more than the cores of a small one, with a
+    # short switch interval so the threads interleave often
+    rng = rng_factory("devp-parallel", p)
+    spec = dist.iid_marginal("uniform", d)
+    B = linalg.haar_stiefel(d, p, rng)
+    _, mu, delta = _serial_values(spec, B, 100, 6000, copy.deepcopy(rng))
+    monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    threads = _record_threads(monkeypatch)
+    start = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in _thresholds(mu, delta):
+            res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=6000,
+                                             rng=copy.deepcopy(rng))
+            assert res.mean_prob == np.count_nonzero(mu > t) / 100
+            assert res.var_prob == np.count_nonzero(delta > t) / 100
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == start
+    if cond._blas_thread_controls():
+        assert len(threads) == 3
+
+
+@pytest.mark.parametrize("p, d", [(1, 16), (2, 12)])
+def test_outer_loop_without_blas_control_runs_on_the_calling_thread(rng_factory, monkeypatch,
+                                                                    p, d):
+    rng = rng_factory("devp-serial", p)
+    spec = dist.iid_marginal("uniform", d)
+    B = linalg.haar_stiefel(d, p, rng)
+    _, mu, delta = _serial_values(spec, B, 100, 6000, copy.deepcopy(rng))
+    monkeypatch.setattr(cond, "_blas_thread_controls", lambda: [])
+    threads = _record_threads(monkeypatch)
+    for t in _thresholds(mu, delta):
+        res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=6000,
+                                         rng=copy.deepcopy(rng))
+        assert res.mean_prob == np.count_nonzero(mu > t) / 100
+        assert res.var_prob == np.count_nonzero(delta > t) / 100
+    assert threads == {threading.get_ident()}
+
+
+class _Interrupt(BaseException):
+    """Stands for an interrupt such as KeyboardInterrupt."""
+
+
+def test_outer_loop_restores_blas_and_thread_counts(rng_factory, monkeypatch):
+    import scipy.sparse.linalg  # noqa: F401  (its OpenBLAS is held too)
+    from projcond.errors import DegenerateDensityError
+
+    rng = rng_factory("devp-restore")
+    spec = dist.iid_marginal("uniform", 16)
+    B = linalg.haar_stiefel(16, 1, rng)
+    controls = cond._blas_thread_controls()
+    saved = [get_fn() for _, get_fn in controls]
+    # at two BLAS threads, a hold left at one thread shows on any host
+    for set_fn, _ in controls:
+        set_fn(2)
+    two = [get_fn() for _, get_fn in controls]
+    start = threading.active_count()
+    try:
+        cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=6000, rng=rng)
+        assert [get_fn() for _, get_fn in controls] == two
+        assert threading.active_count() == start
+        # every x fails at this bandwidth; the error names the first one
+        xs = dist.sample_z(spec, 100, copy.deepcopy(rng)) @ B.entries
+        with pytest.raises(DegenerateDensityError, match=re.escape(f"near x = {xs[0]}") + "$"):
+            cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng,
+                                       bandwidth=1e-9)
+        assert [get_fn() for _, get_fn in controls] == two
+        assert threading.active_count() == start
+        # an interrupt on the calling thread stops the workers and propagates
+        caller, mu_deviation = threading.get_ident(), cond.kernel_mu_deviation
+
+        def interrupted(pool, x):
+            if threading.get_ident() == caller:
+                raise _Interrupt
+            return mu_deviation(pool, x)
+
+        monkeypatch.setattr(cond, "kernel_mu_deviation", interrupted)
+        with pytest.raises(_Interrupt):
+            cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng)
+        assert [get_fn() for _, get_fn in controls] == two
+        assert threading.active_count() == start
+    finally:
+        for (set_fn, _), count in zip(controls, saved):
+            set_fn(count)
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_outer_loop_raises_the_first_failing_x(rng_factory, monkeypatch, serial):
+    # x 5 (the third share's) and x 7 (the second share's) fail: the error
+    # is x 5's, as in a serial loop, whichever share reaches its failure first
+    from projcond.errors import DegenerateDensityError
+
+    rng = rng_factory("devp-first-failure")
+    spec = dist.iid_marginal("uniform", 16)
+    B = linalg.haar_stiefel(16, 1, rng)
+    xs = dist.sample_z(spec, 100, copy.deepcopy(rng)) @ B.entries
+    monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    if serial:
+        monkeypatch.setattr(cond, "_blas_thread_controls", lambda: [])
+    mu_deviation = cond.kernel_mu_deviation
+
+    def failing(pool, x):
+        for j in (5, 7):
+            if np.array_equal(x, xs[j]):
+                raise DegenerateDensityError(f"x {j}")
+        return mu_deviation(pool, x)
+
+    monkeypatch.setattr(cond, "kernel_mu_deviation", failing)
+    start = threading.active_count()
+    with pytest.raises(DegenerateDensityError, match="^x 5$"):
+        cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng)
+    assert threading.active_count() == start
