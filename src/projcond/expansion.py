@@ -255,10 +255,6 @@ class PolynomialPsi:
         s = np.asarray(S, dtype=float)
         return poly_eval(self.coeffs, s - np.eye(self.k))
 
-    @property
-    def degree(self) -> int:
-        return max((len(key) for key in self.coeffs), default=0)
-
 
 def psi_poly(x, k: int, p: int, d: int) -> PolynomialPsi:
     """Explicit coefficient map of the symmetrized approximant."""

@@ -11,7 +11,7 @@ squared (1,2) entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,50 +29,16 @@ class MomentConditionConstants:
     """Constants entering the deviation bounds; ranges are enforced."""
 
     epsilon: float = DEFAULT_EPSILON
-    alpha: float = 1.0
-    beta: float = 1.0
     xi: float = DEFAULT_XI
     D: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 0.5:
             raise InvalidDimensionError("epsilon must lie in [0, 1/2]")
-        if self.alpha < 1.0:
-            raise InvalidDimensionError("alpha must be >= 1")
-        if self.beta <= 0.0:
-            raise InvalidDimensionError("beta must be > 0")
         if not 0.0 < self.xi <= 0.5:
             raise InvalidDimensionError("xi must lie in (0, 1/2]")
         if self.D < 1.0:
             raise InvalidDimensionError("D must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon, "alpha": self.alpha, "beta": self.beta,
-            "xi": self.xi, "D": self.D,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "MomentConditionConstants":
-        """The constants of a JSON object; an omitted key keeps its default.
-
-        Raises ValueError naming an unknown key, and TypeError or ValueError
-        naming a key whose value is not a number (a boolean included).
-        """
-        # imported here: experiments, which holds the config casts, imports
-        # this module
-        from .experiments import _real
-
-        known = [f.name for f in fields(MomentConditionConstants)]
-        values = {}
-        for key, value in obj.items():
-            if key not in known:
-                raise ValueError(f"unknown key '{key}'; expected one of {sorted(known)}")
-            try:
-                values[key] = _real(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise type(exc)(f"key '{key}': {exc}") from None
-        return MomentConditionConstants(**values)
 
 
 @dataclass(frozen=True)
@@ -158,15 +124,15 @@ def estimate_monomial_mean(
     G: MonomialSpec,
     n_blocks: int,
     rng: np.random.Generator,
-    k: int | None = None,
 ):
     """Scaled monomial mean d^(g/2) E[G(S_k - I_k)] with standard error.
 
-    Returns (estimate, se, target) where target is the exact comparison
-    value (1 for purely quadratic above-diagonal monomials, 0 when a linear
-    factor is present, None otherwise).
+    k is G's largest vertex label.  Returns (estimate, se, target) where
+    target is the exact comparison value (1 for purely quadratic
+    above-diagonal monomials, 0 when a linear factor is present, None
+    otherwise).
     """
-    k = G.max_vertex if k is None else k
+    k = G.max_vertex
     if G.degree > 2 * k:
         raise InvalidStructureError(f"monomial degree {G.degree} exceeds 2k = {2 * k}")
     scale = d ** (G.degree / 2.0)
@@ -220,60 +186,3 @@ def prop5_special_cases(
     om = moment_oracle(spec)
     analytic = (om.m4 - 3.0, om.m3**2, (om.m4**2 - 9.0) / d)
     return Prop5Cases(case_a=est[0], case_b=est[1], case_c=est[2], analytic=analytic)
-
-
-def canonical_monomials(k: int) -> list[MonomialSpec]:
-    """The curated monomial family scanned by the (b1)(b)-style checks."""
-    fam = [MonomialSpec(pairs=((1, 2),)), MonomialSpec(pairs=((1, 1),))]
-    if k >= 2:
-        fam.append(MonomialSpec(pairs=((1, 2), (1, 2))))
-    if k >= 3:
-        fam.append(MonomialSpec(pairs=((1, 2), (2, 3))))
-        fam.append(MonomialSpec(pairs=((1, 2), (1, 2), (1, 3), (1, 3))))
-    if k >= 4:
-        fam.append(MonomialSpec(pairs=((1, 2), (3, 4))))
-        fam.append(MonomialSpec(pairs=((1, 2), (1, 2), (3, 4), (3, 4))))
-    return fam
-
-
-def _canonical_beta(
-    spec: DistributionSpec, d: int, k: int, n_blocks: int, rng: np.random.Generator, xi: float
-) -> float:
-    """Largest scaled deviation |E G - target| d^xi over the canonical family
-    (monomials on at most k vertices with a defined target)."""
-    beta = 0.0
-    for mono in canonical_monomials(k):
-        if mono.max_vertex > k:
-            continue
-        est, _, target = estimate_monomial_mean(spec, d, mono, n_blocks, rng, k=k)
-        if target is None:
-            continue
-        beta = max(beta, abs(est - target) * d**xi)
-    return beta
-
-
-def estimated_constants(
-    spec: DistributionSpec,
-    d: int,
-    k: int,
-    n_blocks: int,
-    rng: np.random.Generator,
-    alpha_hat: float,
-) -> MomentConditionConstants:
-    """Bundle an alpha estimate (estimate_b1a at epsilon = DEFAULT_EPSILON)
-    and an estimated beta with the density bound into constants, with
-    xi = DEFAULT_XI.
-
-    beta is the max scaled deviation over the canonical family (an estimate
-    for the tested monomials only); D defaults to the heuristic
-    max(1, marginal density bound).
-    """
-    beta = _canonical_beta(spec, d, k, n_blocks, rng, DEFAULT_XI)
-    density_sup = moment_oracle(spec).density_sup
-    return MomentConditionConstants(
-        epsilon=DEFAULT_EPSILON,
-        alpha=max(1.0, alpha_hat),
-        beta=max(beta, 1e-12),
-        xi=DEFAULT_XI,
-        D=max(1.0, density_sup),
-    )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -51,6 +52,21 @@ def test_theorem_bound_worked_example():
     res_b = bounds.theorem_bound(bounds.TheoremBoundInputs(
         d=1e6, p=2, t=1.0, tau=0.5, constants=CONS, part="B"))
     assert res_b.xi_eff == pytest.approx(0.6 * res.xi_eff, rel=1e-15)
+
+
+def test_every_constant_moves_a_bound():
+    # each field of the constants, moved within its range, changes the
+    # bound of part A or part B: a constant that no bound reads fails here
+    moved = {"epsilon": 0.2, "xi": 0.2, "D": 2.0}
+    assert sorted(f.name for f in dataclasses.fields(MomentConditionConstants)) == sorted(moved)
+
+    def results(cons):
+        return [bounds.theorem_bound(bounds.TheoremBoundInputs(
+            d=1e6, p=2, t=1.0, tau=0.5, constants=cons, part=part)) for part in "AB"]
+
+    base = results(CONS)
+    for name, value in moved.items():
+        assert results(dataclasses.replace(CONS, **{name: value})) != base, name
 
 
 def test_theorem_bound_t_limit():

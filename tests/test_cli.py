@@ -123,7 +123,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "conditional-linearity", "bandwidths": {"32": True}}, "'bandwidths'"),
     ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": False}, "'tau1'"),
     ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
-      "constants": {"alpha": True, "alhpa": 3}}, "'constants'"),
+      "constants": {"epsilon": True, "alhpa": 3}}, "'constants'"),
     ({"experiment": "asymptotic-scan", "constants": {"alhpa": 3}}, "'constants'"),
     # g-membership: tau1 and D would reach math.log of a value <= 0, or run
     # every frame before the moment constants refuse D < 1
@@ -144,7 +144,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "tau1": float("nan")},
      "'tau1'"),
     ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
-      "constants": {"alpha": float("inf")}}, "'constants'"),
+      "constants": {"xi": float("inf")}}, "'constants'"),
     # conditional-linearity: keys outside d_list and bandwidths <= 0
     ({"experiment": "conditional-linearity", "d_list": [16], "n_inner": {"17": 2000}},
      "'n_inner'"),
@@ -199,6 +199,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # and a descending d_list tested the opposite claim
     ({"experiment": "conditional-linearity", "d_list": [8, 8], "n_frames": 2}, "'d_list'"),
     ({"experiment": "conditional-linearity", "d_list": [16, 8], "n_frames": 2}, "'d_list'"),
+    # no bound reads alpha or beta, so the constants hold neither
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
+      "constants": {"alpha": 2.0}}, "'constants'"),
+    ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
+      "constants": {"beta": 0.5}}, "'constants'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)
@@ -210,9 +215,11 @@ def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
 
 
 @pytest.mark.parametrize("constants, key", [
-    ({"alpha": True, "alhpa": 3}, "'alpha'"),
+    ({"epsilon": True, "alhpa": 3}, "'epsilon'"),
     ({"alhpa": 3}, "'alhpa'"),
     ({"xi": "abc"}, "'xi'"),
+    ({"alpha": 2.0}, "'alpha'"),
+    ({"beta": 0.5}, "'beta'"),
 ])
 def test_constants_errors_name_the_key(constants, key):
     cfg = {"d": 100, "p": 1, "tau": 0.5, "constants": constants}

@@ -6,6 +6,7 @@ import pytest
 from projcond import distributions as dist
 from projcond import moments as mo
 from projcond.errors import InvalidDimensionError
+from projcond.experiments import constants_object
 
 
 def test_b1b_targets():
@@ -19,11 +20,10 @@ def test_constants_ranges():
     with pytest.raises(InvalidDimensionError):
         mo.MomentConditionConstants(epsilon=0.7)
     with pytest.raises(InvalidDimensionError):
-        mo.MomentConditionConstants(alpha=0.5)
-    with pytest.raises(InvalidDimensionError):
         mo.MomentConditionConstants(xi=0.0)
-    cons = mo.MomentConditionConstants()
-    assert mo.MomentConditionConstants.from_json(cons.to_json()) == cons
+    assert constants_object({}) == mo.MomentConditionConstants()
+    assert constants_object({"epsilon": 0.3, "xi": 0.4, "D": 1.2}) == \
+        mo.MomentConditionConstants(epsilon=0.3, xi=0.4, D=1.2)
 
 
 def test_b1a_k1_matches_direct_statistic(rng_factory):
@@ -133,31 +133,23 @@ def test_gaussian_reference_limit_and_stability(rng_factory):
     assert abs(a_lo - a_mid) < 4 * joint + 0.05 * a_lo
 
 
-def test_estimated_constants_bundle(rng_factory):
-    spec = dist.iid_marginal("uniform", 100)
-    cons = mo.estimated_constants(spec, 100, 2, 4000, rng_factory("cons"), 66.7)
-    assert cons.alpha == 66.7 and cons.beta > 0.0 and cons.D == 1.0
-    # alpha is the estimate it is given, floored at 1, and draws nothing
-    rng, replay = rng_factory("cons-floor"), rng_factory("cons-floor")
-    floor = mo.estimated_constants(spec, 100, 2, 4000, rng, 0.3)
-    beta = mo._canonical_beta(spec, 100, 2, 4000, replay, mo.DEFAULT_XI)
-    assert floor.alpha == 1.0 and floor.beta == max(beta, 1e-12)
-    assert np.array_equal(rng.random(4), replay.random(4))
-
-
 def test_monomial_means_close_to_gaussian_reference(rng_factory):
     # |E H - E H*| <= d^(-h/2) (alpha + alpha*) + 8 joint SE for each
-    # canonical monomial of degree <= 4 over k = 4 blocks
+    # monomial of degree <= 4 on at most k = 4 vertices
     d, k, n = 100, 4, 20_000
+    family = [((1, 2),), ((1, 1),), ((1, 2), (1, 2)), ((1, 2), (2, 3)),
+              ((1, 2), (1, 2), (1, 3), (1, 3)), ((1, 2), (3, 4)),
+              ((1, 2), (1, 2), (3, 4), (3, 4))]
     spec = dist.iid_marginal("exponential", d)
     gspec = dist.gaussian(d)
     alpha, _ = mo.estimate_b1a(spec, d, k, 0.5, 4000, rng_factory("p5i-a"))
     alpha_star, _ = mo.estimate_b1a(gspec, d, k, 0.5, 4000, rng_factory("p5i-as"))
-    for mono in mo.canonical_monomials(k):
+    for pairs in family:
+        mono = mo.MonomialSpec(pairs=pairs)
         h = mono.degree
         scale = d ** (h / 2.0)
-        est, se, _ = mo.estimate_monomial_mean(spec, d, mono, n, rng_factory("p5i-z"), k=k)
-        est_g, se_g, _ = mo.estimate_monomial_mean(gspec, d, mono, n, rng_factory("p5i-v"), k=k)
+        est, se, _ = mo.estimate_monomial_mean(spec, d, mono, n, rng_factory("p5i-z"))
+        est_g, se_g, _ = mo.estimate_monomial_mean(gspec, d, mono, n, rng_factory("p5i-v"))
         diff = abs(est - est_g) / scale  # back to the unscaled means
         joint = math.sqrt(se**2 + se_g**2) / scale
         assert diff <= d ** (-h / 2.0) * (alpha + alpha_star) + 8 * joint, mono.pairs
