@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -423,13 +422,9 @@ def deviation_probability(
     averaged.  For the Gaussian both deviations are exactly 0 at every x,
     so the frequencies are 1 for t < 0 and 0 otherwise, with nothing drawn.
 
-    The outer points run on every usable core: with n cores the calling
-    thread takes xs[0::n] and n - 1 worker threads take xs[j::n], while
-    every loaded OpenBLAS is held at one thread (its float32 SYRK gains
-    little from a second thread, two points at once nearly twice).  Where no
-    OpenBLAS thread control is found, or n = 1, the loop runs on the calling
-    thread alone.  Each point's computation is the same either way, and a
-    failure raises the error of the first failing x in outer order.
+    The outer points run through _at_outer_points, as g_membership's x's
+    do, so the frequencies, and the error naming the first failing x, are
+    those of one loop over the points in order.
     """
     if n_outer < 100:
         raise InvalidDimensionError("need n_outer >= 10^2")
@@ -445,47 +440,34 @@ def deviation_probability(
     # on its import nor miss its OpenBLAS in the thread-count lookup
     import scipy.sparse.linalg  # noqa: F401
 
-    controls = _blas_thread_controls()
-    n = min(len(os.sched_getaffinity(0)), n_outer) if controls else 1
-    hits = np.zeros((n_outer, 2), dtype=bool)
-    failures = []
-    workers = [threading.Thread(target=_outer_hits, args=(pool, xs, t, range(j, n_outer, n),
-                                                          hits, failures))
-               for j in range(1, n)]
-    with _one_blas_thread(controls if n > 1 else []):
-        for worker in workers:
-            worker.start()
-        try:
-            _outer_hits(pool, xs, t, range(0, n_outer, n), hits, failures)
-        except BaseException:
-            failures.append((-1, None))  # an interrupt stops the workers at their next x
-            raise
-        finally:
-            for worker in workers:
-                worker.join()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    hits = _at_outer_points(lambda x: (kernel_mu_deviation(pool, x)[0] > t,
+                                       kernel_delta_norm(pool, x) > t), xs)
     mean_hits, var_hits = (int(c) for c in np.count_nonzero(hits, axis=0))
     return DeviationProbability(mean_prob=mean_hits / n_outer, var_prob=var_hits / n_outer)
 
 
-def _outer_hits(pool: ForwardPool, xs: np.ndarray, t: float, share: range,
-                hits: np.ndarray, failures: list) -> None:
-    """Set hits[j] to the mean and variance indicators at xs[j] for the j of
-    share in turn, stopping at its first failure, which is appended to
-    failures as (j, exception) for the caller to raise, or at a j beyond an
-    x that has already failed.  The caller raises the failure of the least
-    j, as a serial loop over xs would.
+def _at_outer_points(fn, xs) -> list:
+    """[fn(x) for x in xs], with the points run on every usable core.
+
+    Where an OpenBLAS thread control is found, a ThreadPoolExecutor with one
+    worker per usable core (os.sched_getaffinity) maps fn over xs while
+    every loaded OpenBLAS is held at one thread: the kernel engine's float32
+    products gain little from a second BLAS thread, two points at once
+    nearly twice.  Elsewhere the points run in order on the calling thread.
+    Each point's computation is the same either way, and so are the
+    results, in the order of xs.  When points raise, an interrupt included,
+    the error of the first failing x in that order is raised; the points not
+    yet started are cancelled, and the workers are joined before every BLAS
+    thread count is restored.
     """
-    for j in share:
-        if any(k < j for k, _ in failures):
-            return
-        try:
-            hits[j] = (kernel_mu_deviation(pool, xs[j])[0] > t,
-                       kernel_delta_norm(pool, xs[j]) > t)
-        except Exception as exc:  # raised again by the caller
-            failures.append((j, exc))
-            return
+    from concurrent.futures import ThreadPoolExecutor
+
+    controls = _blas_thread_controls()
+    if not controls:
+        return [fn(x) for x in xs]
+    with _one_blas_thread(controls), \
+            ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as workers:
+        return list(workers.map(fn, xs))
 
 
 # the (set, get) thread-count functions an OpenBLAS build may export: the
@@ -606,10 +588,12 @@ def g_membership(
         got += take
 
     pool = build_pool(spec, B, n_pool=n_inner, rng=rng)
-    vals = np.empty(n_x)
-    for j, x in enumerate(xs):
+
+    def integrand(x):
         dev, h = kernel_mu_deviation(pool, x)
-        vals[j] = dev**2 * h**2
+        return dev**2 * h**2
+
+    vals = np.array(_at_outer_points(integrand, xs))
     integral = ball_prob * float(np.mean(vals))
     se = ball_prob * float(np.std(vals)) / math.sqrt(n_x)
     return GMembershipReport(

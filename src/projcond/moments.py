@@ -11,6 +11,7 @@ squared (1,2) entry.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +62,10 @@ class MonomialSpec:
     def max_vertex(self) -> int:
         return max((v for p in self.pairs for v in p), default=1)
 
-    def multiplicities(self) -> dict:
-        out: dict = {}
-        for p in self.pairs:
-            out[p] = out.get(p, 0) + 1
-        return out
-
     def b1b_target(self) -> float | None:
         """1 for purely quadratic above-diagonal monomials, 0 when a linear
         factor is present, None otherwise."""
-        mult = self.multiplicities()
+        mult = Counter(self.pairs)
         if self.degree > 0 and all(
             m == 2 and a != b for (a, b), m in mult.items()
         ):

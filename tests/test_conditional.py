@@ -484,17 +484,31 @@ def _thresholds(*values):
     return ts
 
 
-def _record_threads(monkeypatch) -> set:
-    """The idents of the threads that call kernel_delta_norm from now on."""
-    threads = set()
-    solve = cond.kernel_delta_norm
+def _record_calls(monkeypatch, name: str, workers: int = 0) -> list:
+    """(thread ident, args) of each call of cond.<name> from now on.
 
-    def recording(pool, x):
-        threads.add(threading.get_ident())
-        return solve(pool, x)
+    With workers > 0, a thread's first call waits (up to 10 s) until that
+    many threads have called.  A worker held in a point takes no other, so
+    the executor starts a new worker for the next point, and a loop on that
+    many workers shows them all however fast its points are.
+    """
+    calls = []
+    fn = getattr(cond, name)
+    seen = threading.Condition()
 
-    monkeypatch.setattr(cond, "kernel_delta_norm", recording)
-    return threads
+    def recording(*args):
+        me = threading.get_ident()
+        with seen:
+            first = all(thread != me for thread, _ in calls)
+            calls.append((me, args))
+            seen.notify_all()
+            if first:
+                seen.wait_for(lambda: len({thread for thread, _ in calls}) >= workers,
+                              timeout=10)
+        return fn(*args)
+
+    monkeypatch.setattr(cond, name, recording)
+    return calls
 
 
 @pytest.mark.parametrize("p, d", [(1, 16), (2, 12)])
@@ -506,21 +520,24 @@ def test_parallel_outer_loop_equals_serial_loop(rng_factory, monkeypatch, p, d):
     B = linalg.haar_stiefel(d, p, rng)
     _, mu, delta = _serial_values(spec, B, 100, 6000, copy.deepcopy(rng))
     monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    threads = _record_threads(monkeypatch)
+    parallel = bool(cond._blas_thread_controls())
+    calls = _record_calls(monkeypatch, "kernel_delta_norm", workers=3 if parallel else 0)
     start = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for t in _thresholds(mu, delta):
+            calls.clear()
             res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=6000,
                                              rng=copy.deepcopy(rng))
             assert res.mean_prob == np.count_nonzero(mu > t) / 100
             assert res.var_prob == np.count_nonzero(delta > t) / 100
+            threads = {thread for thread, _ in calls}
+            if parallel:
+                assert len(threads) == 3 and threading.get_ident() not in threads
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == start
-    if cond._blas_thread_controls():
-        assert len(threads) == 3
 
 
 @pytest.mark.parametrize("p, d", [(1, 16), (2, 12)])
@@ -531,13 +548,13 @@ def test_outer_loop_without_blas_control_runs_on_the_calling_thread(rng_factory,
     B = linalg.haar_stiefel(d, p, rng)
     _, mu, delta = _serial_values(spec, B, 100, 6000, copy.deepcopy(rng))
     monkeypatch.setattr(cond, "_blas_thread_controls", lambda: [])
-    threads = _record_threads(monkeypatch)
+    calls = _record_calls(monkeypatch, "kernel_delta_norm")
     for t in _thresholds(mu, delta):
         res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=6000,
                                          rng=copy.deepcopy(rng))
         assert res.mean_prob == np.count_nonzero(mu > t) / 100
         assert res.var_prob == np.count_nonzero(delta > t) / 100
-    assert threads == {threading.get_ident()}
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
 
 
 class _Interrupt(BaseException):
@@ -569,11 +586,14 @@ def test_outer_loop_restores_blas_and_thread_counts(rng_factory, monkeypatch):
                                        bandwidth=1e-9)
         assert [get_fn() for _, get_fn in controls] == two
         assert threading.active_count() == start
-        # an interrupt on the calling thread stops the workers and propagates
-        caller, mu_deviation = threading.get_ident(), cond.kernel_mu_deviation
+        # an interrupt in the first point, on whichever thread runs it,
+        # cancels the points not yet started and propagates
+        xs = dist.sample_z(spec, 100, copy.deepcopy(rng)) @ B.entries
+        calls, mu_deviation = [], cond.kernel_mu_deviation
 
         def interrupted(pool, x):
-            if threading.get_ident() == caller:
+            calls.append(1)
+            if np.array_equal(x, xs[0]):
                 raise _Interrupt
             return mu_deviation(pool, x)
 
@@ -582,6 +602,7 @@ def test_outer_loop_restores_blas_and_thread_counts(rng_factory, monkeypatch):
             cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng)
         assert [get_fn() for _, get_fn in controls] == two
         assert threading.active_count() == start
+        assert len(calls) < 100
     finally:
         for (set_fn, _), count in zip(controls, saved):
             set_fn(count)
@@ -589,8 +610,8 @@ def test_outer_loop_restores_blas_and_thread_counts(rng_factory, monkeypatch):
 
 @pytest.mark.parametrize("serial", [False, True])
 def test_outer_loop_raises_the_first_failing_x(rng_factory, monkeypatch, serial):
-    # x 5 (the third share's) and x 7 (the second share's) fail: the error
-    # is x 5's, as in a serial loop, whichever share reaches its failure first
+    # x 5 and x 7 fail: the error is x 5's, as in a serial loop, whichever
+    # worker reaches its failure first
     from projcond.errors import DegenerateDensityError
 
     rng = rng_factory("devp-first-failure")
@@ -612,4 +633,71 @@ def test_outer_loop_raises_the_first_failing_x(rng_factory, monkeypatch, serial)
     start = threading.active_count()
     with pytest.raises(DegenerateDensityError, match="^x 5$"):
         cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng)
+    assert threading.active_count() == start
+
+
+def test_outer_loop_raises_a_workers_base_exception(rng_factory, monkeypatch):
+    # an interrupt in a point that a worker thread runs reaches the caller,
+    # rather than ending that worker alone and leaving its points uncounted
+    rng = rng_factory("devp-worker-interrupt")
+    spec = dist.iid_marginal("uniform", 16)
+    B = linalg.haar_stiefel(16, 1, rng)
+    xs = dist.sample_z(spec, 100, copy.deepcopy(rng)) @ B.entries
+    monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    mu_deviation = cond.kernel_mu_deviation
+
+    def interrupted(pool, x):
+        if np.array_equal(x, xs[1]):
+            raise _Interrupt
+        return mu_deviation(pool, x)
+
+    monkeypatch.setattr(cond, "kernel_mu_deviation", interrupted)
+    start = threading.active_count()
+    # every deviation exceeds t = -1, so a call that returns reads 1.0
+    with pytest.raises(_Interrupt):
+        cond.deviation_probability(spec, B, t=-1.0, n_outer=100, n_inner=2000, rng=rng)
+    assert threading.active_count() == start
+
+
+def test_g_membership_runs_its_points_through_the_outer_loop(rng_factory, monkeypatch):
+    from projcond.errors import DegenerateDensityError
+
+    rng = rng_factory("gmem-outer-loop")
+    spec = dist.iid_marginal("uniform", 16)
+    B = linalg.haar_stiefel(16, 1, rng)
+    # tau1 = 6 makes M_d > 1 at d = 16
+    kwargs = dict(tau=0.5, gamma=bounds.gamma_constant(1.0, 1.0, "A"), n_x=100,
+                  n_inner=6000, tau1=6.0)
+    monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    mu_deviation = cond.kernel_mu_deviation
+    # the serial loop: without an OpenBLAS control the points run in order
+    # on the calling thread
+    with monkeypatch.context() as serial:
+        serial.setattr(cond, "_blas_thread_controls", lambda: [])
+        calls = _record_calls(serial, "kernel_mu_deviation")
+        ref = cond.g_membership(spec, B, rng=copy.deepcopy(rng), **kwargs)
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
+    assert len({id(pool) for _, (pool, _) in calls}) == 1
+    xs = [x for _, (_, x) in calls]
+    assert ref.M_d > 1.0 and ref.integral_hat > 0.0
+    parallel = bool(cond._blas_thread_controls())
+    start = threading.active_count()
+    with monkeypatch.context() as mapped:
+        calls = _record_calls(mapped, "kernel_mu_deviation", workers=3 if parallel else 0)
+        res = cond.g_membership(spec, B, rng=copy.deepcopy(rng), **kwargs)
+    assert (res.integral_hat, res.integral_se) == (ref.integral_hat, ref.integral_se)
+    assert sorted(x.tobytes() for _, (_, x) in calls) == sorted(x.tobytes() for x in xs)
+    if parallel:
+        assert len({thread for thread, _ in calls}) == 3
+    assert threading.active_count() == start
+
+    def failing(pool, x):
+        for j in (5, 7):
+            if np.array_equal(x, xs[j]):
+                raise DegenerateDensityError(f"x {j}")
+        return mu_deviation(pool, x)
+
+    monkeypatch.setattr(cond, "kernel_mu_deviation", failing)
+    with pytest.raises(DegenerateDensityError, match="^x 5$"):
+        cond.g_membership(spec, B, rng=copy.deepcopy(rng), **kwargs)
     assert threading.active_count() == start

@@ -1,5 +1,5 @@
 """Every public module-level function or class of projcond is reached, and so
-is every field of its dataclasses.
+is every field of its dataclasses and every method of its classes.
 
 A name counts as reached when the package refers to it (as a name or an
 attribute) somewhere outside its own definition and outside the smoke
@@ -17,6 +17,11 @@ with the method that carries it.  The match is by name alone, so a field
 named like another attribute that is read (``d``, ``p``, ``k``, ``t``, ``T``,
 as in ``B.d``, ``inputs.t`` or ``a.T``) always counts as reached: this guard
 cannot see such a field go unread.
+
+A method of any class (every function defined in its body whose name is not
+a dunder) counts as reached by the same rule: its name is read as an
+attribute outside its own class's methods and outside the smoke profile, or
+it is on ALLOWED_METHODS with the reason it stays.
 """
 
 import ast
@@ -45,6 +50,12 @@ ALLOWED_FIELDS = {
     "experiments.ReportRow.target": _ROW,
     "expansion.PolynomialPsi.k": _PSI,
     "expansion.PolynomialPsi.coeffs": _PSI,
+}
+
+# module.Class.method -> why the method stays although only its own class's
+# methods, the smoke profile or the unit tests call it
+ALLOWED_METHODS = {
+    "expansion.PolynomialPsi.evaluate": "evaluates the allowed psi_poly reference",
 }
 
 SMOKE = ("acceptance", "run_smoke")
@@ -123,11 +134,18 @@ def _fields(cls: ast.ClassDef) -> list[str]:
     return out
 
 
-def _unread_fields() -> list[str]:
+def _methods(cls: ast.ClassDef) -> list[str]:
+    return [item.name for item in cls.body if isinstance(item, ast.FunctionDef)
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def _unread(members) -> list[str]:
+    """module.Class.name for each name of members(cls), over the classes of
+    the package, that is read nowhere but in its own class's methods."""
     # attribute name -> where it is read: the (module, class) whose method
     # reads it, or None for any other place
     reads: dict[str, set] = {}
-    fields = []
+    names = []
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
         module = path.stem
         in_src = path.parent == SRC
@@ -137,16 +155,21 @@ def _unread_fields() -> list[str]:
                 continue
             parts = [(stmt, None)]
             if isinstance(stmt, ast.ClassDef):
-                if in_src and _is_dataclass(stmt):
-                    fields += [(module, stmt.name, f) for f in _fields(stmt)]
+                if in_src:
+                    names += [(module, stmt.name, m) for m in members(stmt)]
                 parts = [(item, (module, stmt.name) if isinstance(item, ast.FunctionDef)
                           else None) for item in stmt.body + stmt.decorator_list + stmt.bases]
             for node, where in parts:
                 for attr in _reads(node):
                     reads.setdefault(attr, set()).add(where)
-    return [f"{module}.{cls}.{name}" for module, cls, name in fields
+    return [f"{module}.{cls}.{name}" for module, cls, name in names
             if not reads.get(name, set()) - {(module, cls)}]
 
 
 def test_every_dataclass_field_is_read():
-    assert sorted(_unread_fields()) == sorted(ALLOWED_FIELDS)
+    assert sorted(_unread(lambda cls: _fields(cls) if _is_dataclass(cls) else [])) \
+        == sorted(ALLOWED_FIELDS)
+
+
+def test_every_method_is_called():
+    assert sorted(_unread(_methods)) == sorted(ALLOWED_METHODS)
