@@ -56,7 +56,9 @@ def _cmd_run(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
     seed = _seed(cfg.pop("seed", acceptance.DEFAULT_SEED))
-    cfg_out = read_field("out", str, cfg.pop("out", "projcond-report"))
+    cfg_out = cfg.pop("out", "projcond-report")
+    if not isinstance(cfg_out, str) or not cfg_out:
+        raise ConfigError("out", f"expected a non-empty string, got {cfg_out!r}")
     out_prefix = args.out or cfg_out
     for report in (out_prefix + ".csv", out_prefix + ".json"):
         if os.path.abspath(report) == os.path.abspath(args.config):
@@ -64,8 +66,8 @@ def _cmd_run(args) -> int:
     experiments = cfg.pop("experiments", None)
     if experiments is None:
         experiments = [cfg]
-    elif not isinstance(experiments, list):
-        raise ConfigError("experiments", "expected a JSON list of experiment objects")
+    elif not isinstance(experiments, list) or not experiments:
+        raise ConfigError("experiments", "expected a non-empty JSON list of experiment objects")
     elif cfg:
         raise ConfigError(next(iter(cfg)), "only seed and out may stand beside an experiments list")
     timings: dict = {}

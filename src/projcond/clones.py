@@ -44,8 +44,6 @@ def log_eta(d: int, p: int, k: int) -> float:
     """log of the normalizing constant eta(d, p, k)."""
     from scipy.special import gammaln
 
-    if p == 0:  # degenerate hook: empty product, zero exponent
-        return 0.0
     if not 1 <= k <= d - p:
         raise InvalidDimensionError(f"need 1 <= k <= d - p, got k={k}, d-p={d - p}")
     i = np.arange(1, k + 1)

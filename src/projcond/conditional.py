@@ -74,8 +74,10 @@ def _ratio_conditional(
     n: int,
     rng: np.random.Generator,
 ) -> ConditionalEstimates:
+    if n < 2:
+        raise InvalidDimensionError("need n >= 2: a leave-one-block-out fit needs two draws")
     B = as_stiefel(B)
-    d, p = B.d, B.p
+    d = B.d
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b = B.entries
     bx = b @ x
@@ -92,8 +94,7 @@ def _ratio_conditional(
     s_vvr = np.zeros((nblocks, d, d))
 
     for blk, size in enumerate(sizes):
-        done = 0
-        while done < size:
+        for done in range(0, size, _RATIO_BATCH):
             nb = min(_RATIO_BATCH, size - done)
             v = rng.standard_normal((nb, d))
             w = clone_vectors(b, x, v)
@@ -108,49 +109,35 @@ def _ratio_conditional(
             s_vr[blk] += r @ v
             s_vv[blk] += _weighted_gram(ones, v)
             s_vvr[blk] += _weighted_gram(r, v)
-            done += nb
 
     def assemble(mask):
         nn = float(sizes[mask].sum())
         h = float(s_r[mask].sum()) / nn
         if h <= 0.0:
             return h, None, None
-        rbar = h
-        m_vec = (s_vr[mask].sum(axis=0) - rbar * s_v[mask].sum(axis=0)) / (nn * h)
+        m_vec = (s_vr[mask].sum(axis=0) - h * s_v[mask].sum(axis=0)) / (nn * h)
         m_perp = m_vec - b @ (b.T @ m_vec)
         mu = bx + m_perp
-        d_mat = (s_vvr[mask].sum(axis=0) - rbar * s_vv[mask].sum(axis=0)) / (nn * h)
+        d_mat = (s_vvr[mask].sum(axis=0) - h * s_vv[mask].sum(axis=0)) / (nn * h)
         p_d_p = d_mat - b @ (b.T @ d_mat)
         p_d_p = p_d_p - (p_d_p @ b) @ b.T
         delta = np.outer(bx, m_perp) + np.outer(m_perp, bx) + p_d_p
         delta = 0.5 * (delta + delta.T)
         return h, mu, spectral_norm(delta)
 
-    full_mask = np.ones(nblocks, dtype=bool)
-    h_hat, mu_hat, delta_hat = assemble(full_mask)
+    h_hat, mu_hat, delta_hat = assemble(np.ones(nblocks, dtype=bool))
     _, h_se = mean_se(float(s_r.sum()), float(s_r2.sum()), n)
 
-    mus = np.zeros((nblocks, d))
-    deltas = np.zeros(nblocks)
-    usable = mu_hat is not None
-    if usable:
-        for blk in range(nblocks):
-            mask = full_mask.copy()
-            mask[blk] = False
-            h_b, mu_b, del_b = assemble(mask)
-            if mu_b is None:
-                usable = False
-                break
-            mus[blk] = mu_b
-            deltas[blk] = del_b
-    if usable:
-        fac = (nblocks - 1) / nblocks
-        mu_se = np.sqrt(fac * np.sum((mus - mus.mean(axis=0)) ** 2, axis=0))
-        delta_se = math.sqrt(fac * float(np.sum((deltas - deltas.mean()) ** 2)))
-    else:
-        mu_se = np.full(d, np.nan)
-        delta_se = float("nan")
-    if mu_hat is None:  # no draw hit the support
+    mu_se, delta_se = np.full(d, np.nan), float("nan")
+    if mu_hat is not None:
+        # the leave-one-block-out fits; one with no mean leaves the SEs NaN
+        _, mus, deltas = zip(*[assemble(np.arange(nblocks) != blk) for blk in range(nblocks)])
+        if all(mu is not None for mu in mus):
+            mus, deltas = np.array(mus), np.array(deltas)
+            fac = (nblocks - 1) / nblocks
+            mu_se = np.sqrt(fac * np.sum((mus - mus.mean(axis=0)) ** 2, axis=0))
+            delta_se = math.sqrt(fac * float(np.sum((deltas - deltas.mean()) ** 2)))
+    else:  # no draw hit the support
         mu_hat, delta_hat = np.full(d, np.nan), float("nan")
 
     return ConditionalEstimates(
@@ -210,19 +197,16 @@ def build_pool(
     # and the sort moves rows within the pool
     z = np.empty((n_pool, B.d), dtype=np.float32)
     proj = np.empty((n_pool, B.p))
-    done = 0
-    while done < n_pool:
+    for done in range(0, n_pool, _BLOCK_ROWS):
         nb = min(_BLOCK_ROWS, n_pool - done)
         block = sample_z(spec, nb, rng)
         z[done: done + nb] = block
         proj[done: done + nb] = block @ B.entries
-        done += nb
         del block
     # sorted on the first projected coordinate: every kernel window is a
-    # band of rows, a contiguous slice; two half-block row temporaries stay
-    # within the freed block
+    # band of rows, a contiguous slice
     order = np.argsort(proj[:, 0], kind="stable")
-    _take_rows_in_place(z, order, _BLOCK_ROWS // 2)
+    _take_rows_in_place(z, order)
     proj = proj[order]
     if bandwidth is None:
         # projections of a standardized vector have unit variance
@@ -230,32 +214,25 @@ def build_pool(
     return ForwardPool(b=B.entries, z=z, proj=proj, bandwidth=float(bandwidth))
 
 
-def _take_rows_in_place(z: np.ndarray, order: np.ndarray, block: int) -> None:
+def _take_rows_in_place(z: np.ndarray, order: np.ndarray) -> None:
     """Reorder the rows of z in place so that z ends bitwise equal to
-    z[order], with row temporaries of at most ``block`` rows each.
+    z[order], holding one row.
 
-    The destination rows [a, a + block) are filled in turn: the rows they
-    want are gathered from the slots where they now sit (all at a or
-    beyond), and the rows the block displaces move into the slots that
-    gather freed.  ``slot`` maps an original row to its current slot and
-    ``held`` maps a slot to the original row in it.
+    Each cycle of the permutation is followed from its first unplaced slot:
+    that slot's row is held, z[i] = z[order[i]] moves the rows along the
+    cycle, and the held row goes into the cycle's last slot.
     """
-    n = z.shape[0]
-    slot = np.arange(n)
-    held = np.arange(n)
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        src = slot[order[a:b]]
-        wanted = z[src]
-        beyond = src >= b
-        freed = src[beyond]
-        stays = np.zeros(b - a, dtype=bool)
-        stays[src[~beyond] - a] = True
-        displaced = a + np.flatnonzero(~stays)
-        z[freed] = z[displaced]
-        held[freed] = held[displaced]
-        slot[held[freed]] = freed
-        z[a:b] = wanted
+    placed = np.zeros(len(order), dtype=bool)
+    for start in range(len(order)):
+        if placed[start]:
+            continue
+        held = z[start].copy()
+        i, j = start, order[start]
+        while j != start:
+            z[i] = z[j]
+            placed[j] = True
+            i, j = j, order[j]
+        z[i] = held
 
 
 def _bandwidth_at(pool: ForwardPool, x: np.ndarray) -> float:
@@ -578,14 +555,11 @@ def g_membership(
         )
 
     ball_prob = float(chi2.cdf(m_d**2, df=p))
-    xs = np.empty((n_x, p))
-    got = 0
-    while got < n_x:
+    inside = []
+    while sum(len(keep) for keep in inside) < n_x:
         cand = rng.standard_normal((max(64, n_x), p))
-        keep = cand[np.einsum("np,np->n", cand, cand) <= m_d**2]
-        take = min(n_x - got, keep.shape[0])
-        xs[got: got + take] = keep[:take]
-        got += take
+        inside.append(cand[np.einsum("np,np->n", cand, cand) <= m_d**2])
+    xs = np.concatenate(inside)[:n_x]
 
     pool = build_pool(spec, B, n_pool=n_inner, rng=rng)
 

@@ -224,8 +224,6 @@ RANGES = {
     "n_x": (lambda a: a["n_x"] >= 100, "need n_x >= 100"),
     "n_outer": (lambda a: a["n_outer"] >= 100, "need n_outer >= 100"),
     "ks": (lambda a: all(1 <= k <= MAX_K for k in a["ks"]), f"need every k in 1..{MAX_K}"),
-    "level": (lambda a: 0 < a["level"] < 1, "need 0 < level < 1"),
-    "corr_tol": (lambda a: a["corr_tol"] > 0, "need corr_tol > 0"),
     "D": (lambda a: a["D"] >= 1, "need D >= 1"),
     "part": (lambda a: a["part"] in (bounds.PART_A, bounds.PART_B), "need part 'A' or 'B'"),
     # after p's rule, so that log p is defined
@@ -282,6 +280,11 @@ def parse_config(fn, cfg: dict) -> dict:
 
 UNIFORM = {"family": "iid-marginal", "marginal": "uniform"}
 
+# gate tolerances, fixed so that no config can loosen the check it runs
+BARTLETT_LEVEL = 0.01     # the least KS p-value of the entries must exceed it
+BARTLETT_CORR_TOL = 0.02  # largest allowed |correlation| between the entries
+SLOPE_TOL = 0.3           # largest allowed |remainder slope - (k + 1)|
+
 
 def run_clone_density_check(
     rng: np.random.Generator, d: int, p: int, k: int, n: int = 100_000,
@@ -301,15 +304,14 @@ def run_clone_density_check(
 
 def run_bartlett_check(
     rng: np.random.Generator, d: int, p: int, k: int, n: int = 100_000,
-    level: float = 0.01, corr_tol: float = 0.02, n_frames: int = 100,
+    n_frames: int = 100,
 ) -> list[ReportRow]:
     rep = linalg.bartlett_distribution_check(d, p, k, n, rng)
     rows = [
-        bool_row("bartlett-check",
-                 f"d={d};p={p};k={k};n={n};min_pvalue={rep.min_pvalue:.5f};level={level}",
-                 rep.min_pvalue > level),
+        bool_row("bartlett-check", f"d={d};p={p};k={k};n={n};min_pvalue={rep.min_pvalue:.5f}"
+                 f";level={BARTLETT_LEVEL}", rep.min_pvalue > BARTLETT_LEVEL),
         exact_row("bartlett-check", f"d={d};p={p};k={k};max_abs_corr",
-                  rep.max_abs_correlation, 0.0, corr_tol),
+                  rep.max_abs_correlation, 0.0, BARTLETT_CORR_TOL),
     ]
     # determinant identity on random frames; infeasible or rank-deficient
     # frames are skipped, and a check that kept no frame fails
@@ -336,7 +338,6 @@ def run_bartlett_check(
 def run_expansion_order(
     rng: np.random.Generator, d: int = 10_000, p: int = 1, ks: int_list = (1, 2, 4),
     x_norm: float = 0.5, eps_grid: float_list = (0.02, 0.01, 0.005, 0.0025),
-    slope_tol: float = 0.3,
 ) -> list[ReportRow]:
     rows = []
     for k in ks:
@@ -355,7 +356,7 @@ def run_expansion_order(
             rems.append(abs(rem))
         slope = float(np.polyfit(np.log(eps_grid), np.log(rems), 1)[0])
         rows.append(ReportRow("expansion-order", f"d={d};p={p};k={k};slope",
-                              slope, slope_tol / 4.0, float(k + 1)))
+                              slope, SLOPE_TOL / 4.0, float(k + 1)))
     return rows
 
 

@@ -3,10 +3,6 @@ import pytest
 from projcond.streams import substream
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running acceptance checks")
-
-
 @pytest.fixture
 def rng_factory():
     """Deterministic per-test generators: rng_factory('label') is stable."""

@@ -179,11 +179,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "normalzero-check", "chains": ["alt"]}, "'chains'"),
     ({"experiment": "normalzero-check", "k": 3, "chains": ["alternating"]}, "'chains'"),
     # library preconditions, refused before any draw: n_x, n_outer and ks
-    # would stop the run with the library's message, and level and
-    # corr_tol would run the whole check to a row that cannot pass
+    # would stop the run with the library's message
     ({"experiment": "g-membership", "spec": {"family": "gaussian"}, "n_x": 50}, "'n_x'"),
     ({"experiment": "conditional-linearity", "n_outer": 5}, "'n_outer'"),
     ({"experiment": "expansion-order", "ks": [7]}, "'ks'"),
+    # the gate tolerances are constants, so a config that sets one names an
+    # unknown field
     ({"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3, "level": 2}, "'level'"),
     ({"experiment": "bartlett-check", "d": 20, "p": 2, "k": 3, "corr_tol": -1}, "'corr_tol'"),
     # the least d of d_list bounds k and p
@@ -204,6 +205,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
       "constants": {"alpha": 2.0}}, "'constants'"),
     ({"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5,
       "constants": {"beta": 0.5}}, "'constants'"),
+    # expansion-order's gate tolerance, a constant like level and corr_tol
+    ({"experiment": "expansion-order", "slope_tol": 10}, "'slope_tol'"),
+    # a run that checked nothing wrote "pass": true
+    ({"experiments": []}, "'experiments'"),
+    # a non-string out was read as str(out): None.csv, True.csv, 7.csv,
+    # ['a'].csv; an empty one wrote .csv
+    ({"experiment": "asymptotic-scan", "out": None}, "'out'"),
+    ({"experiment": "asymptotic-scan", "out": True}, "'out'"),
+    ({"experiment": "asymptotic-scan", "out": 7}, "'out'"),
+    ({"experiment": "asymptotic-scan", "out": ["a"]}, "'out'"),
+    ({"experiment": "asymptotic-scan", "out": ""}, "'out'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)

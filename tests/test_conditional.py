@@ -3,12 +3,14 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from projcond import bounds, conditional as cond, distributions as dist, linalg
 from projcond.acceptance import _uniform_fiber_moments
+from projcond.errors import InvalidDimensionError
 
 B2 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 
@@ -97,6 +99,18 @@ def test_ratio_engine_matches_plain_reference(rng_factory):
     assert abs(est.delta_op_norm_hat - dnorm) <= 1e-12 * dnorm
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_ratio_engine_refuses_fewer_than_two_draws(rng_factory, n):
+    # a leave-one-block-out fit needs two draws; the refusal comes before
+    # any draw, so the generator is not advanced
+    rng = rng_factory("ratio-small-n")
+    B = linalg.haar_stiefel(3, 1, rng)
+    replay = copy.deepcopy(rng)
+    with pytest.raises(InvalidDimensionError, match="n >= 2"):
+        cond.conditional_estimates(dist.iid_marginal("uniform", 3), B, np.array([0.4]), n, rng)
+    assert np.array_equal(rng.random(4), replay.random(4))
+
+
 def test_h_normalization_over_projections(rng_factory):
     # E_{x ~ N(0, I_p)} h(x|B) = 1 for every law
     rng = rng_factory("h-norm")
@@ -159,8 +173,6 @@ def test_kernel_engine_agrees_with_ratio_engine(rng_factory):
 def test_deviation_probability_gaussian_zero(rng_factory):
     # both deviations are exactly 0 for the Gaussian, so the answer needs
     # no draw: the frequency of a deviation beyond t is 1 for t < 0, else 0
-    from projcond.errors import InvalidDimensionError
-
     rng = rng_factory("devp-gauss")
     spec = dist.gaussian(20)
     B = linalg.haar_stiefel(20, 2, rng)
@@ -230,11 +242,13 @@ def test_capped_kernel_rows_are_nearest(rng_factory, p):
 
 
 @pytest.mark.parametrize("n, kind", [
-    (7, "random"),        # below one block
-    (53, "random"),       # not a multiple of the block
+    (1, "identity"),
+    (7, "random"),
+    (53, "random"),
     (40, "identity"),
     (53, "cycle"),        # a single n-cycle
     (53, "reversed"),
+    (54, "swaps"),        # disjoint 2-cycles
     (400, "random"),
 ])
 def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
@@ -244,12 +258,28 @@ def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
         "identity": np.arange(n),
         "cycle": np.roll(np.arange(n), 1),
         "reversed": np.arange(n)[::-1],
+        "swaps": np.arange(n) ^ 1,
         "random": rng.permutation(n),
     }[kind]
-    for block in (1, 10, n):
-        moved = z.copy()
-        cond._take_rows_in_place(moved, order, block)
-        assert np.array_equal(moved, z[order])
+    moved = z.copy()
+    cond._take_rows_in_place(moved, order)
+    assert np.array_equal(moved, z[order])
+
+
+def test_take_rows_in_place_holds_one_row(rng_factory):
+    # the sort allocates its n placed flags and one held row: a pool-sized
+    # sort must not gather a block of rows
+    d, n = 512, 6000
+    rng = rng_factory("take-rows-memory")
+    z = rng.standard_normal((n, d)).astype(np.float32)
+    order = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        cond._take_rows_in_place(z, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n + 4 * d * z.itemsize + 4096
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -357,16 +387,12 @@ def test_kernel_mu_counts_weighted_rows_not_band_rows():
 
 
 def test_build_pool_rejects_empty_pool(rng_factory):
-    from projcond.errors import InvalidDimensionError
-
     rng = rng_factory("empty-pool")
     with pytest.raises(InvalidDimensionError):
         cond.build_pool(dist.gaussian(4), linalg.haar_stiefel(4, 1, rng), 0, rng)
 
 
 def test_deviation_probability_preconditions(rng_factory):
-    from projcond.errors import InvalidDimensionError
-
     rng = rng_factory("devp-pre")
     spec = dist.gaussian(10)
     B = linalg.haar_stiefel(10, 1, rng)
@@ -377,8 +403,6 @@ def test_deviation_probability_preconditions(rng_factory):
 
 
 def test_g_membership_regimes(rng_factory):
-    from projcond.errors import InvalidDimensionError
-
     rng = rng_factory("gmem")
     gamma = bounds.gamma_constant(1.0, 1.0, "A")
     # a pool below 10^3 rows is refused before either shortcut below
@@ -417,8 +441,6 @@ def test_g_membership_regimes(rng_factory):
 
 def test_g_membership_refuses_nonpositive_tau1(rng_factory):
     # tau1 <= 0 would reach math.sqrt of a negative number in M_d
-    from projcond.errors import InvalidDimensionError
-
     rng = rng_factory("gmem-tau1")
     spec = dist.iid_marginal("uniform", 40)
     B = linalg.haar_stiefel(40, 1, rng)
