@@ -48,6 +48,13 @@ def _seed(value) -> int:
     return seed
 
 
+def _out(value) -> str:
+    """The report prefix of ``run`` and ``verify``: a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError("out", f"expected a non-empty string, got {value!r}")
+    return value
+
+
 def _cmd_run(args) -> int:
     """One experiment object or an "experiments" list, with the top-level
     fields seed and out."""
@@ -56,10 +63,9 @@ def _cmd_run(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
     seed = _seed(cfg.pop("seed", acceptance.DEFAULT_SEED))
-    cfg_out = cfg.pop("out", "projcond-report")
-    if not isinstance(cfg_out, str) or not cfg_out:
-        raise ConfigError("out", f"expected a non-empty string, got {cfg_out!r}")
-    out_prefix = args.out or cfg_out
+    out_prefix = _out(cfg.pop("out", "projcond-report"))
+    if args.out is not None:
+        out_prefix = _out(args.out)
     for report in (out_prefix + ".csv", out_prefix + ".json"):
         if os.path.abspath(report) == os.path.abspath(args.config):
             raise ConfigError("out", f"the report {report} would overwrite the config being run")
@@ -83,7 +89,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _seed(args.seed)
-    out_prefix = args.out or f"projcond-verify-{args.profile}"
+    out_prefix = _out(f"projcond-verify-{args.profile}" if args.out is None else args.out)
     rows: list[ReportRow] = []
     timings: dict = {}
     if args.profile == "smoke":

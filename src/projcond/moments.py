@@ -78,9 +78,18 @@ class MonomialSpec:
 def _deviations(
     spec: DistributionSpec, d: int, k: int, nb: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """nb deviations S_k - I_k, each from k fresh vectors: shape (nb, k, k)."""
-    z = sample_z(spec, nb * k, rng).reshape(nb, k, d)
-    return np.einsum("nkd,nld->nkl", z, z) / d - np.eye(k)
+    """nb deviations S_k - I_k, each from k fresh vectors: shape (nb, k, k).
+
+    The vectors are drawn and reduced in blocks of _BATCH // 8 deviations,
+    which read the stream row by row and give the bits of one whole draw.
+    """
+    block = _BATCH // 8
+
+    def grams(m):
+        z = sample_z(spec, m * k, rng).reshape(m, k, d)
+        return np.einsum("nkd,nld->nkl", z, z)
+
+    return np.concatenate([grams(min(block, nb - a)) for a in range(0, nb, block)]) / d - np.eye(k)
 
 
 def estimate_b1a(
@@ -159,16 +168,19 @@ def prop5_special_cases(
     """Monte Carlo estimates of the three special-case quantities.
 
     Uses E||Z||^2 = d and E(Z_1'Z_2)^2 = d exactly, so each case is a plain
-    mean of i.i.d. per-draw statistics.
+    mean of i.i.d. per-draw statistics.  Each batch's z2 follows all of its
+    z1 in the stream, so z1 is drawn whole and z2 in blocks of _BATCH rows.
     """
     if n < 10000:
         raise InvalidDimensionError("need n >= 10^4")
 
     def draw(nb):
         z1 = sample_z(spec, nb, rng)
-        z2 = sample_z(spec, nb, rng)
         q = np.einsum("nd,nd->n", z1, z1)
-        t = np.einsum("nd,nd->n", z1, z2)
+        t = np.empty(nb)
+        for a in range(0, nb, _BATCH):
+            b = min(a + _BATCH, nb)
+            t[a:b] = np.einsum("nd,nd->n", z1[a:b], sample_z(spec, b - a, rng))
         return np.stack(
             [
                 (q - d) ** 2 / d - 2.0,

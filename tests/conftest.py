@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from projcond.streams import substream
@@ -11,3 +13,18 @@ def rng_factory():
         return substream(987654321, label, index)
 
     return make
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) runs fn() under tracemalloc and returns its value and
+    the peak of the memory traced meanwhile, in bytes."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

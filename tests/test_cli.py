@@ -530,6 +530,25 @@ def test_run_refuses_an_out_that_would_overwrite_its_config(tmp_path, capsys):
     assert (tmp_path / "k.json").read_bytes() == before
 
 
+def test_run_refuses_an_explicit_empty_out(tmp_path, capsys):
+    # an empty --out was read as no --out, and the config's out was written
+    cfg = _write(tmp_path, "c.json", {
+        "out": str(tmp_path / "fromcfg"), "experiment": "theorem-bound", "part": "A",
+        "d": 100, "p": 1, "t": 1, "tau": 0.5,
+    })
+    assert main(["run", cfg, "--out", ""]) == 2
+    assert "'out'" in capsys.readouterr().err
+    assert not (tmp_path / "fromcfg.csv").exists()
+
+
+def test_verify_refuses_an_explicit_empty_out(tmp_path, capsys, monkeypatch):
+    # an empty --out was read as no --out, and projcond-verify-smoke was written
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--profile", "smoke", "--out", ""]) == 2
+    assert "'out'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # projcond starts on numpy alone: log_eta, conditional.eigsh, the KS
     # test and g_membership's chi2 import their SciPy module when called,

@@ -3,7 +3,6 @@ import math
 import re
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,19 +265,14 @@ def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
     assert np.array_equal(moved, z[order])
 
 
-def test_take_rows_in_place_holds_one_row(rng_factory):
+def test_take_rows_in_place_holds_one_row(rng_factory, traced_peak):
     # the sort allocates its n placed flags and one held row: a pool-sized
     # sort must not gather a block of rows
     d, n = 512, 6000
     rng = rng_factory("take-rows-memory")
     z = rng.standard_normal((n, d)).astype(np.float32)
     order = rng.permutation(n)
-    tracemalloc.start()
-    try:
-        cond._take_rows_in_place(z, order)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: cond._take_rows_in_place(z, order))
     assert peak <= n + 4 * d * z.itemsize + 4096
 
 
@@ -349,21 +343,14 @@ def test_blocked_window_sums_match_float64_reference(rng_factory, p, m):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory, p):
+def test_build_pool_peak_memory_is_one_pool_and_one_chunk(rng_factory, traced_peak, p):
     # a pool of three chunks peaks at the pool plus one float64 chunk, not
     # two chunks while sampling or two pools while sorting
-    import tracemalloc
-
     rng = rng_factory("pool-memory", p)
     d, n = 64, 3 * cond._BLOCK_ROWS
     spec = dist.iid_marginal("uniform", d)
     B = linalg.haar_stiefel(d, p, rng)
-    tracemalloc.start()
-    try:
-        pool = cond.build_pool(spec, B, n, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pool, peak = traced_peak(lambda: cond.build_pool(spec, B, n, rng))
     assert pool.z.nbytes == n * d * 4
     assert peak <= 1.1 * (pool.z.nbytes + cond._BLOCK_ROWS * d * 8)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from projcond import distributions as dist
 from projcond import moments as mo
 from projcond.errors import InvalidDimensionError
 from projcond.experiments import constants_object
+from projcond.streams import batch_mean_se
 
 
 def test_b1b_targets():
@@ -153,3 +155,60 @@ def test_monomial_means_close_to_gaussian_reference(rng_factory):
         diff = abs(est - est_g) / scale  # back to the unscaled means
         joint = math.sqrt(se**2 + se_g**2) / scale
         assert diff <= d ** (-h / 2.0) * (alpha + alpha_star) + 8 * joint, mono.pairs
+
+
+def _prop5_one_shot(spec, d, n, rng):
+    """prop5's statistics with each batch's z1 and z2 drawn whole."""
+
+    def draw(nb):
+        z1 = dist.sample_z(spec, nb, rng)
+        z2 = dist.sample_z(spec, nb, rng)
+        q = np.einsum("nd,nd->n", z1, z1)
+        t = np.einsum("nd,nd->n", z1, z2)
+        return np.stack([(q - d) ** 2 / d - 2.0, t**3 / d,
+                         (t**2 - d) ** 2 / d**2 - 2.0 * (1.0 + 3.0 / d)])
+
+    return list(zip(*batch_mean_se(n, mo._BATCH * 8, draw)))
+
+
+@pytest.mark.parametrize("marginal", ["gaussian", "exponential", "triangular"])
+def test_prop5_blocks_equal_one_whole_draw(rng_factory, marginal):
+    # a second batch of three whole z2 blocks and a ragged one of 123 rows
+    d, n = 7, mo._BATCH * 11 + 123
+    spec = dist.gaussian(d) if marginal == "gaussian" else dist.iid_marginal(marginal, d)
+    rng = rng_factory("p5-blocks", ("gaussian", "exponential", "triangular").index(marginal))
+    ref_rng = copy.deepcopy(rng)
+    res = mo.prop5_special_cases(spec, d, n, rng)
+    assert [res.case_a, res.case_b, res.case_c] == _prop5_one_shot(spec, d, n, ref_rng)
+    assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_deviations_blocks_equal_one_whole_draw(rng_factory, k):
+    d, nb = 9, 2 * (mo._BATCH // 8) + 37
+    spec = dist.iid_marginal("exponential", d)
+    rng = rng_factory("dev-blocks", k)
+    ref_rng = copy.deepcopy(rng)
+    z = dist.sample_z(spec, nb * k, ref_rng).reshape(nb, k, d)
+    ref = np.einsum("nkd,nld->nkl", z, z) / d - np.eye(k)
+    assert np.array_equal(mo._deviations(spec, d, k, nb, rng), ref)
+    assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+def test_prop5_holds_one_sample_and_one_block(rng_factory, traced_peak):
+    # z1 whole, one z2 block and the three statistic rows of one batch: the
+    # two whole samples of a batch peaked at 55.3 MB, this reads 30.8 MB
+    d, batch = 100, mo._BATCH * 8
+    spec = dist.iid_marginal("uniform", d)
+    _, peak = traced_peak(lambda: mo.prop5_special_cases(spec, d, 100_000, rng_factory("p5-peak")))
+    assert peak <= 1.1 * 8 * (batch * d + mo._BATCH * d + 3 * batch)
+
+
+def test_monomial_mean_holds_one_block_of_deviations(rng_factory, traced_peak):
+    # a batch of 4 096 deviations from 8 192 vectors peaked at 26.6 MB at
+    # d = 400; one eighth of it reads 3.4 MB
+    d = 400
+    mono = mo.MonomialSpec(pairs=((1, 2), (1, 2)))
+    _, peak = traced_peak(lambda: mo.estimate_monomial_mean(
+        dist.iid_marginal("uniform", d), d, mono, 20_000, rng_factory("mono-peak")))
+    assert peak < 6e6

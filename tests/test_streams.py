@@ -1,7 +1,6 @@
 import copy
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,23 +126,14 @@ def test_draw_block_divides_the_batches():
     assert clones._CHAIN_BATCH % DRAW_BLOCK == 0 and 20000 % DRAW_BLOCK == 0
 
 
-def _traced_peak_mb(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
-def test_clone_loops_hold_only_blocks(rng_factory):
+def test_clone_loops_hold_only_blocks(rng_factory, traced_peak):
     # one (20 000, 4, 60) batch of clones and its temporaries peaked at
     # 116 MB, and the density check's at 26 MB; two 2 000-row blocks and
     # theirs read 16 MB and 5 MB
     clones.log_eta(30, 2, 4)  # loads scipy.special outside the trace
-    chain = _traced_peak_mb(lambda: clones.gaussian_chain_identity(
+    _, chain = traced_peak(lambda: clones.gaussian_chain_identity(
         [0.5], 60, 1, 4, (0, 2), 100_000, rng_factory("peak-chain")))
-    assert chain < 32
-    density = _traced_peak_mb(lambda: experiments.run_clone_density_check(
+    assert chain < 32e6
+    _, density = traced_peak(lambda: experiments.run_clone_density_check(
         rng_factory("peak-density"), 30, 2, 4))
-    assert density < 12
+    assert density < 12e6
