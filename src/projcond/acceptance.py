@@ -298,13 +298,15 @@ def run_smoke(seed: int = DEFAULT_SEED) -> list[ReportRow]:
     r1 = expansion.taylor_r1(500, 1, 2, 0.0)
     rows.append(exact_row("smoke", "taylor;r1 at x=0 vanishes",
                           float(np.max(np.abs(r1))), 0.0, 1e-15))
-    psi = expansion.psi_poly(np.array([0.0]), 2, 1, 500)
     rows.append(exact_row("smoke", "psi;x=0,S=I -> eta",
-                          psi.evaluate(np.eye(2)), clones.eta_norm_const(500, 1, 2), 1e-12))
-    c11 = psi.coeffs.get((((0, 0)),) , 0.0)
-    c22 = psi.coeffs.get((((1, 1)),) , 0.0)
+                          expansion.psi_eval(np.zeros(1), np.eye(2), 500, 1),
+                          clones.eta_norm_const(500, 1, 2), 1e-12))
+    a = substream(seed, "smoke", 1).standard_normal((3, 3))
+    s = np.eye(3) + 0.01 * (a + a.T)
+    psi = [expansion.psi_eval(np.array([0.5]), s[np.ix_(perm, perm)], 2000, 1)
+           for perm in ([0, 1, 2], [2, 0, 1])]
     rows.append(exact_row("smoke", "psi;permutation-invariant coeffs",
-                          abs(c11 - c22), 0.0, 1e-10))
+                          abs(psi[0] - psi[1]), 0.0, 1e-10))
 
     spec_u = distributions.iid_marginal("uniform", 3)
     rows.append(exact_row("smoke", "log-density;uniform interior",

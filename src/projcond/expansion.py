@@ -1,21 +1,23 @@
 """Degree-k polynomial approximation of the clone density ratio.
 
-The ratio factors as eta(d,p,k) * g1(iota'S^{-1}iota) * det(S)^{-p/2}.  Both
-factors admit Taylor expansions around S = I whose compositions with Neumann
-sums (for the inverse) and a triangular product identity (for the
-determinant) give a sparse polynomial in the entries of S - I.  Terms above
-total degree k belong to the order-(k+1) remainder and are dropped; the
-result is symmetrized over relabelings of the k vectors.
+The ratio factors as R(S) = eta(d,p,k) * g1(iota'S^{-1}iota) * det(S)^{-p/2}.
+Its approximant Psi_k is the degree-k Taylor polynomial of R around S = I:
+along the ray S(t) = I + tY, Y = S - I, it sums the coefficients of t^0, ...,
+t^k in the power series of R(S(t)).  With a_j = iota'Y^j iota and
+tau_j = tr(Y^j),
 
-Monomials are keyed by sorted tuples of 0-based index pairs (i, j), i <= j,
-one pair per factor of the monomial; the empty tuple is the constant term.
+    iota'S(t)^{-1}iota = k + sum_j (-1)^j a_j t^j,
+    det S(t) = exp(sum_j (-1)^(j+1) tau_j t^j / j),
+
+and the Taylor polynomials of g1 around k and of z^(-p/2) around 1 are
+composed with these series, every product cut at t^k.  The terms above t^k
+belong to the order-(k+1) remainder.  Each a_j and tau_j is unchanged when
+the k vectors are relabeled, so Psi_k is symmetric by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .errors import (
 )
 from .linalg import spectral_norm
 
-PRUNE_EPS = 1e-14
 MAX_K = 4
 
 
@@ -66,11 +67,8 @@ def taylor_r1(d: int, p: int, k: int, x_norm_sq: float) -> np.ndarray:
         raise ThresholdViolatedError(
             f"need d > 4(k+p+1)max(1,||x||^2)^2 = {threshold:.1f}, got d={d}"
         )
-    p1 = taylor_p1(x_norm_sq, k)
-    out = np.empty(k + 1)
-    for j in range(k + 1):
-        out[j] = _g1_derivative_at_k(d, p, k, x_norm_sq, j) / math.factorial(j) - p1[j]
-    return out
+    return np.array([_g1_derivative_at_k(d, p, k, x_norm_sq, j) / math.factorial(j)
+                     for j in range(k + 1)]) - taylor_p1(x_norm_sq, k)
 
 
 def taylor_p2(p: int, k: int) -> np.ndarray:
@@ -79,217 +77,69 @@ def taylor_p2(p: int, k: int) -> np.ndarray:
     The j-th coefficient is (-1/2)^j/j! * prod_{i<j}(p + 2i), bounded in
     absolute value by p^j.
     """
-    out = np.empty(k + 1)
-    out[0] = 1.0
+    out = np.ones(k + 1)
     for j in range(1, k + 1):
-        prod = 1.0
-        for i in range(j):
-            prod *= p + 2 * i
-        out[j] = (-0.5) ** j / math.factorial(j) * prod
+        out[j] = (-0.5) ** j / math.factorial(j) * math.prod(range(p, p + 2 * j, 2))
     return out
 
 
-# ---------------------------------------------------------------------------
-# sparse polynomial arithmetic over the entries of a symmetric k x k matrix
-
-
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
-def poly_const(c: float) -> dict:
-    return {(): c} if c != 0.0 else {}
-
-
-def poly_unit(i: int, j: int) -> dict:
-    return {(_pair(i, j),): 1.0}
-
-
-def poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, val in b.items():
-        new = out.get(key, 0.0) + val
-        if new == 0.0:
-            out.pop(key, None)
-        else:
-            out[key] = new
-    return out
-
-
-def poly_scale(a: dict, c: float) -> dict:
-    return {key: c * val for key, val in a.items()} if c != 0.0 else {}
-
-
-def poly_mul(a: dict, b: dict, max_degree: int) -> dict:
-    """Product with total degree capped at max_degree and tiny terms pruned."""
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            if len(ka) + len(kb) > max_degree:
-                continue
-            key = tuple(sorted(ka + kb))
-            out[key] = out.get(key, 0.0) + va * vb
-    return {k: v for k, v in out.items() if abs(v) > PRUNE_EPS}
-
-
-def poly_eval(a: dict, y: np.ndarray) -> float:
-    total = 0.0
-    for key, val in a.items():
-        term = val
-        for (i, j) in key:
-            term *= y[i, j]
-        total += term
-    return total
-
-
-def poly_relabel(a: dict, perm: tuple[int, ...]) -> dict:
-    out: dict = {}
-    for key, val in a.items():
-        new_key = tuple(sorted(_pair(perm[i], perm[j]) for (i, j) in key))
-        out[new_key] = out.get(new_key, 0.0) + val
-    return out
-
-
-def neumann_sum_poly(k: int) -> dict:
-    """sum_{j=1}^k iota'(I - S)^j iota as a polynomial in Y = S - I."""
-    y_mat = [[poly_unit(a, b) for b in range(k)] for a in range(k)]
-    power = y_mat
-    total: dict = {}
-    for j in range(1, k + 1):
-        if j > 1:
-            nxt = [[dict() for _ in range(k)] for _ in range(k)]
-            for a in range(k):
-                for b in range(k):
-                    acc: dict = {}
-                    for c in range(k):
-                        acc = poly_add(acc, poly_mul(power[a][c], y_mat[c][b], k))
-                    nxt[a][b] = acc
-            power = nxt
-        sign = (-1.0) ** j  # iota'(I-S)^j iota = (-1)^j iota' Y^j iota
-        for a in range(k):
-            for b in range(k):
-                total = poly_add(total, poly_scale(power[a][b], sign))
-    return total
-
-
-def _det_product_poly(k: int) -> dict:
-    """prod_i T_i(Y) approximating det S through order k, as a polynomial.
-
-    T_1 = 1 + Y_11 and, for i > 1,
-    T_i = 1 + Y_ii - sum_{j=0}^k y_i'(-Y_(<i))^j y_i
-    with y_i the column (Y_1i, ..., Y_(i-1)i)'.
-    """
-    prod = poly_add(poly_const(1.0), poly_unit(0, 0))
-    for i in range(1, k):
-        t_i = poly_add(poly_const(1.0), poly_unit(i, i))
-        col = [poly_unit(a, i) for a in range(i)]
-        current = col  # (-Y_<i)^j y_i, starting at j = 0
-        for j in range(0, k + 1):
-            if j + 2 > k:
-                break
-            if j > 0:
-                nxt = []
-                for a in range(i):
-                    acc: dict = {}
-                    for b in range(i):
-                        acc = poly_add(
-                            acc, poly_mul(poly_scale(poly_unit(a, b), -1.0), current[b], k)
-                        )
-                    nxt.append(acc)
-                current = nxt
-            quad: dict = {}
-            for a in range(i):
-                quad = poly_add(quad, poly_mul(col[a], current[a], k))
-            t_i = poly_add(t_i, poly_scale(quad, -1.0))
-        prod = poly_mul(prod, t_i, k)
-    return prod
-
-
-def _compose_univariate(coeffs: np.ndarray, arg: dict, k: int) -> dict:
-    """sum_j coeffs[j] * arg^j with total degree capped at k."""
-    out = poly_const(float(coeffs[0]))
-    power = poly_const(1.0)
-    for j in range(1, len(coeffs)):
-        power = poly_mul(power, arg, k)
-        out = poly_add(out, poly_scale(power, float(coeffs[j])))
-    return out
-
-
-def det_power_poly(p: int, k: int) -> dict:
-    """Polynomial approximating det(S)^(-p/2) through total degree k.
-
-    Composes the Taylor polynomial of z^(-p/2) with the triangular product
-    expansion of det S; the truncation error is of order ||S - I||^(k+1).
-    """
-    v = poly_add(_det_product_poly(k), poly_const(-1.0))
-    return _compose_univariate(taylor_p2(p, k), v, k)
+def d_threshold(x_norm_sq: float, k: int, p: int) -> float:
+    """max(4(k+p+1)M^4, p^2) with M = max(1, ||x||), which d must exceed."""
+    m2 = max(1.0, x_norm_sq)
+    return max(4.0 * (k + p + 1) * m2 * m2, float(p**2))
 
 
 def _check_thresholds(x_norm_sq: float, k: int, p: int, d: int):
     if not 1 <= k <= MAX_K:
         raise InvalidDimensionError(f"need 1 <= k <= {MAX_K}, got k={k}")
-    m4 = max(1.0, x_norm_sq) ** 2
-    bound = max(4.0 * (k + p + 1) * m4, float(p**2))
+    bound = d_threshold(x_norm_sq, k, p)
     if d <= bound:
         raise ThresholdViolatedError(
             f"need d > max(4(k+p+1)M^4, p^2) = {bound:.1f}, got d={d}"
         )
 
 
-def _psi_unsymmetrized(x_norm_sq: float, k: int, p: int, d: int) -> dict:
-    q1_coeffs = taylor_p1(x_norm_sq, k) + taylor_r1(d, p, k, x_norm_sq)
-    q1 = _compose_univariate(q1_coeffs, neumann_sum_poly(k), k)
-    q2 = det_power_poly(p, k)
-    eta = math.exp(log_eta(d, p, k))
-    return poly_mul(poly_scale(q1, eta), q2, k)
+def _compose(coeffs: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] arg^j by Horner's rule, as a power series cut at the
+    length of arg, for a series arg without constant term."""
+    out = np.zeros(len(arg))
+    for c in coeffs[::-1]:
+        out = np.convolve(out, arg)[: len(arg)]
+        out[0] += c
+    return out
 
 
-@dataclass
-class PolynomialPsi:
-    """The symmetrized degree-k polynomial with coefficient map C(H)."""
+def _ray_series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """iota'(I + tY)^{-1}iota - k and det(I + tY) - 1 as power series in t,
+    cut at t^k for a k x k matrix Y."""
+    k = y.shape[0]
+    j = np.arange(1, k + 1)
+    powers = [np.linalg.matrix_power(y, i) for i in j]
+    u = np.concatenate(([0.0], (-1.0) ** j * [m.sum() for m in powers]))
+    log_det = np.concatenate(([0.0], (-1.0) ** (j + 1) * [np.trace(m) for m in powers] / j))
+    exp_minus_1 = np.concatenate(([0.0], 1.0 / np.cumprod(j)))
+    return u, _compose(exp_minus_1, log_det)
 
-    k: int
-    coeffs: dict
 
-    def evaluate(self, S) -> float:
-        s = np.asarray(S, dtype=float)
-        return poly_eval(self.coeffs, s - np.eye(self.k))
-
-
-def psi_poly(x, k: int, p: int, d: int) -> PolynomialPsi:
-    """Explicit coefficient map of the symmetrized approximant."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xsq = float(x @ x)
-    _check_thresholds(xsq, k, p, d)
-    raw = _psi_unsymmetrized(xsq, k, p, d)
-    acc: dict = {}
-    perms = list(permutations(range(k)))
-    for perm in perms:
-        acc = poly_add(acc, poly_relabel(raw, perm))
-    coeffs = {key: val / len(perms) for key, val in acc.items() if abs(val) > PRUNE_EPS}
-    return PolynomialPsi(k=k, coeffs=coeffs)
+def _psi_series(x_norm_sq: float, y: np.ndarray, d: int, p: int) -> np.ndarray:
+    """Coefficients of t^0, ..., t^k in the series of the ratio over eta,
+    g1(iota'S^{-1}iota) det(S)^(-p/2), along S = I + tY."""
+    k = y.shape[0]
+    u, v = _ray_series(y)
+    q1 = _compose(taylor_p1(x_norm_sq, k) + taylor_r1(d, p, k, x_norm_sq), u)
+    q2 = _compose(taylor_p2(p, k), v)
+    return np.convolve(q1, q2)[: k + 1]
 
 
 def psi_eval(x, S, d: int, p: int) -> float:
-    """Numeric evaluation of the approximant at a Gram matrix S.
-
-    Evaluates the unsymmetrized polynomial at every relabeling of S and
-    averages; agrees with psi_poly(...).evaluate(S) by permutation
-    covariance, through an independent code path.
-    """
+    """The degree-k approximant Psi_k at a Gram matrix S: eta times the
+    series of _psi_series at Y = S - I, summed at t = 1."""
     s = np.asarray(S, dtype=float)
     k = s.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xsq = float(x @ x)
     _check_thresholds(xsq, k, p, d)
-    raw = _psi_unsymmetrized(xsq, k, p, d)
-    eye = np.eye(k)
-    vals = []
-    for perm in permutations(range(k)):
-        idx = np.array(perm)
-        s_perm = s[np.ix_(idx, idx)]
-        vals.append(poly_eval(raw, s_perm - eye))
-    return float(np.mean(vals))
+    return math.exp(log_eta(d, p, k)) * float(np.sum(_psi_series(xsq, s - np.eye(k), d, p)))
 
 
 def remainder_diagnostic(x, S, d: int, p: int):

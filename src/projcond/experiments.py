@@ -28,7 +28,7 @@ from .errors import (
     ProjcondError,
     RankDeficientError,
 )
-from .expansion import MAX_K, remainder_diagnostic
+from .expansion import MAX_K, d_threshold, default_xi, remainder_diagnostic
 from .moments import MomentConditionConstants
 from .streams import DRAW_BLOCK, batch_mean_se, draw_ahead, substream
 
@@ -198,7 +198,14 @@ def _least_d(args: dict) -> float:
 # defaults are bound; the least d bounds p and k in the kinds that have a d
 # or a d_list
 RANGES = {
-    "d": (lambda a: a["d"] >= 2, "need d >= 2"),
+    # before the expansion-order rules of d and eps_grid, which read ks; d's
+    # tests d > p^2 in integers first, so no p beyond a float reaches d_threshold
+    "ks": (lambda a: all(1 <= k <= MAX_K for k in a["ks"]), f"need every k in 1..{MAX_K}"),
+    "d": (lambda a: a["d"] >= 2 and all(
+              a["p"] ** 2 < a["d"] and a["d"] > d_threshold(a["x_norm"] * a["x_norm"], k, a["p"])
+              for k in a.get("ks", ())),
+          "need d >= 2, and in expansion-order d > max(4(k+p+1)max(1, x_norm^2)^2, p^2) "
+          "for every k of ks"),
     # each d of d_list keys its own statistics, and a trend row compares one
     # d with the next larger one
     "d_list": (lambda a: all(x < y for x, y in zip(a["d_list"], a["d_list"][1:])),
@@ -209,8 +216,9 @@ RANGES = {
     "n_frames": (lambda a: a["n_frames"] >= 1, "need n_frames >= 1"),
     "n_blocks": (lambda a: a["n_blocks"] >= 1, "need n_blocks >= 1"),
     "tau": (lambda a: 0 < a["tau"] < 1, "need 0 < tau < 1"),
-    "eps_grid": (lambda a: len(set(a["eps_grid"])) >= 2 and all(e > 0 for e in a["eps_grid"]),
-                 "need at least 2 distinct values, all > 0"),
+    "eps_grid": (lambda a: len(set(a["eps_grid"])) >= 2 and all(e > 0 for e in a["eps_grid"])
+                 and all(max(a["eps_grid"]) * a["p"] * default_xi(k) < 1 for k in a.get("ks", ())),
+                 "need at least 2 distinct values, all > 0 and below 1/(p(2k + 1)) for every k of ks"),
     # conditional-linearity keys its pool sizes by d; g-membership's n_inner
     # is one pool size
     "n_inner": (lambda a: (set(a["n_inner"]) <= set(a["d_list"])
@@ -223,7 +231,6 @@ RANGES = {
     "tau1": (lambda a: a["tau1"] is None or a["tau1"] > 0, "need tau1 > 0"),
     "n_x": (lambda a: a["n_x"] >= 100, "need n_x >= 100"),
     "n_outer": (lambda a: a["n_outer"] >= 100, "need n_outer >= 100"),
-    "ks": (lambda a: all(1 <= k <= MAX_K for k in a["ks"]), f"need every k in 1..{MAX_K}"),
     "D": (lambda a: a["D"] >= 1, "need D >= 1"),
     "part": (lambda a: a["part"] in (bounds.PART_A, bounds.PART_B), "need part 'A' or 'B'"),
     # after p's rule, so that log p is defined

@@ -216,6 +216,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"experiment": "asymptotic-scan", "out": 7}, "'out'"),
     ({"experiment": "asymptotic-scan", "out": ["a"]}, "'out'"),
     ({"experiment": "asymptotic-scan", "out": ""}, "'out'"),
+    # expansion-order's region and thresholds, refused before any remainder
+    # is computed: they exited 1 with the library's message
+    ({"experiment": "expansion-order", "eps_grid": [0.5, 0.4]}, "'eps_grid'"),
+    ({"experiment": "expansion-order", "p": 2, "d": 5000, "eps_grid": [0.1, 0.05]},
+     "'eps_grid'"),
+    ({"experiment": "expansion-order", "d": 20}, "'d'"),
+    ({"experiment": "expansion-order", "d": 1000, "x_norm": 3.0}, "'d'"),
 ])
 def test_malformed_config_exit_code(tmp_path, capsys, cfg_obj, field):
     cfg = _write(tmp_path, "cfg.json", cfg_obj)

@@ -34,29 +34,22 @@ BENCH = ROOT / "perfbench"
 SPANS = BENCH / "spans.py"
 
 # module.name -> why the name stays although nothing in the package calls it
-ALLOWED = {
-    "expansion.psi_poly": "the dense reference that test_psi_poly_agrees_with_eval holds psi_eval to",
-}
+ALLOWED = {}
 
 # module.Class.field -> why the field stays although only its own class's
 # methods read it
 _ROW = "a report column, which ReportRow.csv_fields writes"
-_PSI = "read by PolynomialPsi.evaluate, the evaluator of the allowed psi_poly reference"
 ALLOWED_FIELDS = {
     "experiments.ReportRow.experiment": _ROW,
     "experiments.ReportRow.params": _ROW,
     "experiments.ReportRow.estimate": _ROW,
     "experiments.ReportRow.se": _ROW,
     "experiments.ReportRow.target": _ROW,
-    "expansion.PolynomialPsi.k": _PSI,
-    "expansion.PolynomialPsi.coeffs": _PSI,
 }
 
 # module.Class.method -> why the method stays although only its own class's
 # methods, the smoke profile or the unit tests call it
-ALLOWED_METHODS = {
-    "expansion.PolynomialPsi.evaluate": "evaluates the allowed psi_poly reference",
-}
+ALLOWED_METHODS = {}
 
 SMOKE = ("acceptance", "run_smoke")
 

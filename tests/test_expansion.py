@@ -1,13 +1,21 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from projcond import clones, expansion, experiments, linalg
-from projcond.errors import OutsideExpansionRegionError, ThresholdViolatedError
+from projcond.errors import (
+    InvalidDimensionError,
+    OutsideExpansionRegionError,
+    ThresholdViolatedError,
+)
 
 # calibrated once against dense determinant evaluation; never re-tuned
 DET_FIDELITY_D2 = 2.0
+# the constant of remainder_diagnostic's bound shape, fixed once on the grid
+# of test_remainder_within_bound_shape (largest ratio 0.81); never re-tuned
+C_REM = 1.0
 
 
 def _random_symmetric_direction(rng, k):
@@ -62,31 +70,33 @@ def test_taylor_r1_coefficient_bound():
         assert np.all(np.abs(r1) <= cap)
 
 
-def test_psi_constant_term_and_invariance():
+def test_psi_constant_term_and_invariance(rng_factory):
     x = np.array([0.5])
-    psi = expansion.psi_poly(x, 3, 1, 2000)
-    const = psi.coeffs.get((), 0.0)
     ratio0 = clones.log_density_ratio_gram(0.25, np.eye(3), 2000, 1)
-    assert const == pytest.approx(math.exp(ratio0.log_ratio), abs=1e-10)
-    # remainder vanishes at the expansion point
-    assert psi.evaluate(np.eye(3)) == pytest.approx(math.exp(ratio0.log_ratio), abs=1e-10)
-    # coefficients of relabeled monomials coincide
-    assert psi.coeffs[((0, 0),)] == pytest.approx(psi.coeffs[((2, 2),)], abs=1e-10)
-    assert psi.coeffs[((0, 1),)] == pytest.approx(psi.coeffs[((1, 2),)], abs=1e-10)
-    assert max(len(key) for key in psi.coeffs) <= 3
+    assert expansion.psi_eval(x, np.eye(3), 2000, 1) == pytest.approx(
+        math.exp(ratio0.log_ratio), abs=1e-10)
+    # Psi(P S P') = Psi(S) for every relabeling P of the k vectors
+    rng = rng_factory("psi-relabel")
+    for k in (3, 4):
+        s = np.eye(k) + 0.02 * _random_symmetric_direction(rng, k)
+        vals = [expansion.psi_eval(x, s[np.ix_(perm, perm)], 2000, 1)
+                for perm in permutations(range(k))]
+        assert max(vals) - min(vals) < 1e-14
 
 
-def test_psi_poly_agrees_with_eval(rng_factory):
-    rng = rng_factory("psi-agree")
-    for k, p, d in ((2, 1, 800), (4, 2, 1500)):
-        x = rng.standard_normal(p) * 0.4
-        psi = expansion.psi_poly(x, k, p, d)
-        for _ in range(50):
+def test_psi_is_degree_k_along_rays(rng_factory):
+    # t -> Psi_k(I + tA) is a polynomial of degree at most k: the leading
+    # coefficient of a degree-(k+1) fit through k + 2 values of t is at
+    # rounding level (the ratio's own t^(k+1) coefficient is of order one)
+    rng = rng_factory("psi-degree")
+    for k in (1, 2, 3, 4):
+        for p in (1, 2):
+            x = rng.standard_normal(p) * 0.4
             a = _random_symmetric_direction(rng, k)
-            s = np.eye(k) + rng.uniform(0.0, 0.8 / (p * expansion.default_xi(k))) * a
-            assert psi.evaluate(s) == pytest.approx(
-                expansion.psi_eval(x, s, d, p), abs=1e-10
-            )
+            t = np.linspace(-0.5, 0.5, k + 2)
+            vals = [expansion.psi_eval(x, np.eye(k) + ti * a, 2000, p) for ti in t]
+            lead = np.polyfit(t, vals, k + 1)[0]
+            assert abs(lead) < 1e-9 * max(np.abs(vals)), (k, p, lead)
 
 
 def test_exactness_at_identity_grid():
@@ -134,51 +144,70 @@ def test_remainder_region_guard():
         expansion.remainder_diagnostic(np.array([0.2]), np.eye(2) + 0.5, 1000, 1)
 
 
+def test_remainder_within_bound_shape():
+    # |R - Psi_k| <= C_REM p^(k+1) M^(2(k+2)) e^(k M^2 / 2) ||S - I||^(k+1) on
+    # the grids of the exactness and slope tests, away from S = I
+    eps_grid = (0.02, 0.01, 0.005, 0.0025)
+    for d in (300, 1000, 10_000):
+        for p in (1, 2):
+            for k in (1, 2, 4):
+                directions = [np.eye(k)]
+                if k >= 2:
+                    directions.append((np.ones((k, k)) - np.eye(k)) / (k - 1))
+                for xn in (0.0, 0.5, 1.0):
+                    x = np.zeros(p)
+                    x[0] = xn
+                    for a in directions:
+                        for eps in eps_grid:
+                            rem, shape = expansion.remainder_diagnostic(
+                                x, np.eye(k) + eps * a, d, p)
+                            assert abs(rem) <= C_REM * shape, (d, p, k, xn, eps)
+
+
 def test_psi_threshold_guard():
     with pytest.raises(ThresholdViolatedError):
         expansion.psi_eval(np.array([0.5]), np.eye(2), 10, 1)  # d below 4(k+p+1)M^4
-    with pytest.raises(Exception):
-        expansion.psi_poly(np.array([0.5]), 5, 1, 10_000)  # k > 4
+    with pytest.raises(InvalidDimensionError):
+        expansion.psi_eval(np.array([0.5]), np.eye(5), 10_000, 1)  # k > 4
 
 
 def test_neumann_sum_fidelity(rng_factory):
-    # |iota'S^{-1}iota - k - sum_j iota'(I-S)^j iota| <= 2k ||S-I||^(k+1)
+    # |iota'S^{-1}iota - k - sum_j [t^j] iota'(I + tY)^{-1}iota| <= 2k ||S-I||^(k+1)
     rng = rng_factory("neumann")
     for k in (1, 2, 3, 4):
-        upoly = expansion.neumann_sum_poly(k)
         for _ in range(25):
             a = _random_symmetric_direction(rng, k)
             s = np.eye(k) + rng.uniform(0.005, 0.99 / (2 * k)) * a
             dev = linalg.spectral_norm(s - np.eye(k))
             exact = float(np.ones(k) @ np.linalg.solve(s, np.ones(k))) - k
-            approx = expansion.poly_eval(upoly, s - np.eye(k))
+            approx = float(np.sum(expansion._ray_series(s - np.eye(k))[0]))
             assert abs(exact - approx) <= 2 * k * dev ** (k + 1)
 
 
 def test_det_expansion_fidelity(rng_factory):
-    # |det S^{-p/2} - Q2(S-I)| <= D2 p^(k+1) ||S-I||^(k+1), D2 fixed once
+    # |det S^{-p/2} - Q2(S-I)| <= D2 p^(k+1) ||S-I||^(k+1), D2 fixed once, where
+    # Q2 is the Taylor polynomial of z^(-p/2) composed with det(I + tY) - 1
     rng = rng_factory("detfid")
     for k in (1, 2, 3, 4):
         for p in (1, 2):
-            q2 = expansion.det_power_poly(p, k)
             for _ in range(25):
                 a = _random_symmetric_direction(rng, k)
                 s = np.eye(k) + rng.uniform(0.01, 0.99 / (p * expansion.default_xi(k))) * a
                 dev = linalg.spectral_norm(s - np.eye(k))
                 exact = float(np.linalg.det(s)) ** (-p / 2)
-                approx = expansion.poly_eval(q2, s - np.eye(k))
+                v = expansion._ray_series(s - np.eye(k))[1]
+                approx = float(np.sum(expansion._compose(expansion.taylor_p2(p, k), v)))
                 assert abs(exact - approx) <= DET_FIDELITY_D2 * p ** (k + 1) * dev ** (k + 1)
 
 
 def test_expansion_order_gate_catches_truncated_expansion(monkeypatch):
-    # criterion 4's slope rows, on correct code and with the approximant cut
-    # one degree short (the remainder is then of order k, not k + 1)
+    # criterion 4's slope rows, on correct code and with the series cut one
+    # degree short (the remainder is then of order k, not k + 1)
     def slope_rows():
         rows = experiments.run_expansion_order(np.random.default_rng(0))
         return [r for r in rows if r.params.endswith(";slope")]
 
     assert [r.passed for r in slope_rows()] == [True, True, True]
-    full = expansion._psi_unsymmetrized
-    monkeypatch.setattr(expansion, "_psi_unsymmetrized", lambda xsq, k, p, d: {
-        mono: c for mono, c in full(xsq, k, p, d).items() if len(mono) < k})
+    full = expansion._psi_series
+    monkeypatch.setattr(expansion, "_psi_series", lambda xsq, y, d, p: full(xsq, y, d, p)[:-1])
     assert [r.passed for r in slope_rows()] == [False, False, False]
