@@ -108,8 +108,7 @@ def criterion_07_quadratic_identity(seed: int) -> list[ReportRow]:
         for d in (100, 400):
             spec = distributions.DistributionSpec.from_json(dict(spec_raw, d=d))
             est, se, target = moments.estimate_monomial_mean(
-                spec, d, mono, 20_000, substream(seed, "c7", i * 1000 + d)
-            )
+                spec, mono, 20_000, substream(seed, "c7", i * 1000 + d))
             rows.append(ReportRow("quadratic-identity", f"{spec.label};d={d}", est, se, target))
     return rows
 
@@ -349,6 +348,6 @@ def run_smoke(seed: int = DEFAULT_SEED) -> list[ReportRow]:
                                    n_x=100, n_inner=1000, rng=rng)
     rows.append(bool_row("smoke", "membership;M_d<=1 -> member", rep.M_d <= 1.0 and rep.member))
 
-    est0, se0 = clones.gaussian_chain_identity(np.array([0.5]), 30, 1, 2, (0,), 2000, rng)
+    est0, se0 = clones.gaussian_chain_identity(np.array([0.5]), 30, 2, (0,), 2000, rng)
     rows.append(exact_row("smoke", "chains;m=0 exact", abs(est0) + se0, 0.0, 1e-14))
     return rows

@@ -179,6 +179,8 @@ def asymptotic_scan(
     the caller to report.
     """
     _check_part(part)
+    if not 0.0 < tau < 1.0:
+        raise InvalidDimensionError("tau must lie in (0, 1)")
     grid = [float(v) for v in log_d_grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidDimensionError("log_d_grid must be increasing with >= 2 points")

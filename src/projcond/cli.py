@@ -58,8 +58,13 @@ def _out(value) -> str:
 def _cmd_run(args) -> int:
     """One experiment object or an "experiments" list, with the top-level
     fields seed and out."""
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    # only the read is guarded: an error writing a report is not the config's
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        what = f"{type(exc).__name__}: {exc}"
+        raise ConfigError("config", f"cannot read {args.config} ({what})") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"expected a JSON object, got {type(cfg).__name__}")
     seed = _seed(cfg.pop("seed", acceptance.DEFAULT_SEED))
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:  # a report path in a missing directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ProjcondError as exc:

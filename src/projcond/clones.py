@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidChainError, InvalidDimensionError
+from .errors import InvalidChainError, InvalidDimensionError
 from .linalg import clone_vectors, haar_stiefel_batch
-from .streams import DRAW_BLOCK, batch_mean_se, draw_ahead
-
-_CHAIN_BATCH = 20000  # samples per batch of clones in the chain identities
+from .streams import CLONE_BATCH, batch_mean_se, draw_ahead
 
 
 @dataclass(frozen=True)
@@ -146,9 +144,7 @@ def _product_of_inner_products(w: np.ndarray, pairs) -> np.ndarray:
     return stat
 
 
-def gaussian_chain_identity(
-    x, d: int, p: int, k: int, chain, n: int, rng: np.random.Generator,
-):
+def gaussian_chain_identity(x, d: int, k: int, chain, n: int, rng: np.random.Generator):
     """Monte Carlo check of the exact clone-moment identities.
 
     For ``chain`` a tuple (0, j_1, ..., j_m), estimates
@@ -157,10 +153,10 @@ def gaussian_chain_identity(
     binomial combination of cycle statistics minus (1 - ||x||^2)^k, also
     exactly zero (k even).  Returns (estimate, standard error).  Both depend
     on W only through W_i'W_j, whose law is free of B: one Haar frame serves.
+    p is the length of x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != p:
-        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {p}")
+    p = x.shape[0]
     if k > d - p:
         raise InvalidDimensionError(f"need k <= d - p, got k={k}, d-p={d - p}")
     xsq = float(x @ x)
@@ -188,11 +184,11 @@ def gaussian_chain_identity(
             stat += coef * (_product_of_inner_products(w, cycle) - d + p - 1.0)
         return stat
 
-    # each batch's clones are drawn and reduced DRAW_BLOCK samples at a time,
-    # so only two blocks of Gaussians are held at once
+    # each batch's clones are drawn and reduced one draw_ahead block at a
+    # time, so only two blocks of Gaussians are held at once
     def draw(nb):
         return np.concatenate([statistic(v) for v in draw_ahead(
-            lambda m: rng.standard_normal((m, k, d)), nb, DRAW_BLOCK)])
+            lambda m: rng.standard_normal((m, k, d)), nb)])
 
-    mean, se = batch_mean_se(n, _CHAIN_BATCH, draw)
+    mean, se = batch_mean_se(n, CLONE_BATCH, draw)
     return mean - target, se

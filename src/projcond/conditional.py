@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec, gaussian, log_density_batch, sample_z
-from .errors import DegenerateDensityError, InvalidDimensionError
-from .linalg import as_stiefel, clone_vectors, spectral_norm
+from .errors import DegenerateDensityError, DimensionMismatchError, InvalidDimensionError
+from .linalg import StiefelMatrix, as_point, as_stiefel, clone_vectors, spectral_norm
 from .streams import mean_se
 from .bounds import PART_A, balanced_tuning
 
@@ -76,9 +76,9 @@ def _ratio_conditional(
 ) -> ConditionalEstimates:
     if n < 2:
         raise InvalidDimensionError("need n >= 2: a leave-one-block-out fit needs two draws")
-    B = as_stiefel(B)
+    B = _frame_of(spec, B)
     d = B.d
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, B.p)
     b = B.entries
     bx = b @ x
     phi = gaussian(d)
@@ -156,6 +156,14 @@ def conditional_estimates(
     return _ratio_conditional(spec, B, x, n, rng)
 
 
+def _frame_of(spec: DistributionSpec, B) -> StiefelMatrix:
+    """B as a StiefelMatrix, refusing a frame whose d is not the law's."""
+    B = as_stiefel(B)
+    if B.d != spec.d:
+        raise DimensionMismatchError(f"B has d = {B.d}, the law has d = {spec.d}")
+    return B
+
+
 # ---------------------------------------------------------------------------
 # forward kernel engine
 
@@ -191,7 +199,7 @@ def build_pool(
 ) -> ForwardPool:
     if n_pool < 1:
         raise InvalidDimensionError("need n_pool >= 1")
-    B = as_stiefel(B)
+    B = _frame_of(spec, B)
     # the build holds one float32 pool plus one float64 block of
     # _BLOCK_ROWS rows at a time: each block is freed before the next draw,
     # and the sort moves rows within the pool
@@ -252,6 +260,7 @@ def _window(pool: ForwardPool, x: np.ndarray):
     kernel widths of x, as a slice of the sorted pool, and their kernel
     weights; a band row outside the 4-width disk around x weighs 0.
     """
+    x = as_point(x, pool.p)
     h = _bandwidth_at(pool, x)
     col = pool.proj[:, 0]
     lo = int(np.searchsorted(col, x[0] - 4.0 * h, side="left"))
@@ -407,7 +416,7 @@ def deviation_probability(
         raise InvalidDimensionError("need n_outer >= 10^2")
     if n_inner < 1000:
         raise InvalidDimensionError("need n_inner >= 10^3")
-    B = as_stiefel(B)
+    B = _frame_of(spec, B)
     if spec.family == "gaussian":
         hit = float(0.0 > t)
         return DeviationProbability(mean_prob=hit, var_prob=hit)
@@ -532,9 +541,9 @@ def g_membership(
     moment constants); tau1 can be overridden.  For the Gaussian
     mu_(x|B) = Bx exactly, so the integral is 0 with nothing drawn.
     """
-    from scipy.stats import chi2
+    from scipy.special import chdtr
 
-    B = as_stiefel(B)
+    B = _frame_of(spec, B)
     d, p = B.d, B.p
     if d < 3:
         raise InvalidDimensionError("need d >= 3 so that log d > 1")
@@ -554,7 +563,7 @@ def g_membership(
             member=True,
         )
 
-    ball_prob = float(chi2.cdf(m_d**2, df=p))
+    ball_prob = float(chdtr(p, m_d**2))
     inside = []
     while sum(len(keep) for keep in inside) < n_x:
         cand = rng.standard_normal((max(64, n_x), p))

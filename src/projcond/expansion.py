@@ -27,7 +27,7 @@ from .errors import (
     OutsideExpansionRegionError,
     ThresholdViolatedError,
 )
-from .linalg import spectral_norm
+from .linalg import as_point, spectral_norm
 
 MAX_K = 4
 
@@ -136,7 +136,7 @@ def psi_eval(x, S, d: int, p: int) -> float:
     series of _psi_series at Y = S - I, summed at t = 1."""
     s = np.asarray(S, dtype=float)
     k = s.shape[0]
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, p)
     xsq = float(x @ x)
     _check_thresholds(xsq, k, p, d)
     return math.exp(log_eta(d, p, k)) * float(np.sum(_psi_series(xsq, s - np.eye(k), d, p)))
@@ -157,7 +157,7 @@ def remainder_diagnostic(x, S, d: int, p: int):
         raise OutsideExpansionRegionError(
             f"||S - I|| = {dev:.4f} >= 1/(p xi(k)) = {1.0 / (p * xi):.4f}"
         )
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, p)
     xsq = float(x @ x)
     ratio = log_density_ratio_gram(xsq, s, d, p)
     value = math.exp(ratio.log_ratio) if ratio.in_domain else 0.0

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .expansion import MAX_K, d_threshold, default_xi, remainder_diagnostic
 from .moments import MomentConditionConstants
-from .streams import DRAW_BLOCK, batch_mean_se, draw_ahead, substream
+from .streams import CLONE_BATCH, batch_mean_se, draw_ahead, substream
 
 CSV_HEADER = ["experiment", "params", "estimate", "se", "target", "pass", "ms"]
 
@@ -300,9 +300,9 @@ def run_clone_density_check(
     """Importance-sampling normalization: E exp(log ratio) = 1 over Gaussians."""
     rows = []
     for xn in x_norms:
-        mean, se = batch_mean_se(n, 20000, lambda nb: np.concatenate([
+        mean, se = batch_mean_se(n, CLONE_BATCH, lambda nb: np.concatenate([
             np.exp(clones.log_density_ratio_batch(xn**2, v, p)) for v in draw_ahead(
-                lambda m: rng.standard_normal((m, k, d)), nb, DRAW_BLOCK)]))
+                lambda m: rng.standard_normal((m, k, d)), nb)]))
         rows.append(ReportRow(
             "clone-density-check", f"d={d};p={p};k={k};|x|={xn};n={n}", mean, se, 1.0
         ))
@@ -376,11 +376,10 @@ def run_moment_conditions(
     mono = moments.MonomialSpec(pairs=((1, 2), (1, 2)))
     for d in d_list:
         law = distributions.DistributionSpec.from_json(dict(spec, d=d))
-        est, se, target = moments.estimate_monomial_mean(law, d, mono, n_blocks, rng)
+        est, se, target = moments.estimate_monomial_mean(law, mono, n_blocks, rng)
         rows.append(ReportRow("moment-conditions",
                               f"{law.label};d={d};G=(1,2)^2;n={n_blocks}", est, se, target))
-        alpha, alpha_se = moments.estimate_b1a(
-            law, d, k, moments.DEFAULT_EPSILON, max(n_blocks // 4, 1000), rng)
+        alpha, alpha_se = moments.estimate_b1a(law, k, max(n_blocks // 4, 1000), rng)
         rows.append(info_row("moment-conditions",
                              f"{law.label};d={d};k={k};alpha_hat={alpha:.4f};se={alpha_se:.4f}",
                              alpha))
@@ -399,7 +398,7 @@ def run_prop5_cases(
     rng: np.random.Generator, spec: spec_object, d: int = 100, n: int = 100_000,
 ) -> list[ReportRow]:
     law = distributions.DistributionSpec.from_json(dict(spec, d=d))
-    res = moments.prop5_special_cases(law, d, n, rng)
+    res = moments.prop5_special_cases(law, n, rng)
     rows = []
     for name, (est, se), target in zip(
         ("var_norm", "cube", "var_sq"), (res.case_a, res.case_b, res.case_c), res.analytic
@@ -541,7 +540,7 @@ def run_normalzero_check(
     x[0] = x_norm
     rows = []
     for chain in chains:
-        est, se = clones.gaussian_chain_identity(x, d, p, k, chain, n, rng)
+        est, se = clones.gaussian_chain_identity(x, d, k, chain, n, rng)
         label = "alt" if isinstance(chain, str) else "-".join(map(str, chain))
         rows.append(ReportRow("normalzero-check",
                               f"d={d};p={p};k={k};|x|={x_norm};chain={label};n={n}",

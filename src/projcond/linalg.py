@@ -20,7 +20,7 @@ from .errors import (
     InvalidDimensionError,
     RankDeficientError,
 )
-from .streams import DRAW_BLOCK, draw_ahead
+from .streams import draw_ahead
 
 ORTHO_TOL = 1e-10
 FRAME_TOL = 1e-8
@@ -60,6 +60,15 @@ def as_stiefel(B) -> StiefelMatrix:
     if B.ndim == 1:
         B = B[:, None]
     return StiefelMatrix(d=B.shape[0], p=B.shape[1], entries=B)
+
+
+def as_point(x, p: int) -> np.ndarray:
+    """x as a float array of shape (p,): a projection B'z of a frame with p
+    columns.  Raises DimensionMismatchError for any other shape."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (p,):
+        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({p},)")
+    return x
 
 
 def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +177,7 @@ def frame_lambda(B, x, vectors) -> np.ndarray:
     """
     B = as_stiefel(B)
     d, p = B.d, B.p
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != p:
-        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {p}")
+    x = as_point(x, p)
     w = np.atleast_2d(np.asarray(vectors, dtype=float))
     k = w.shape[0]
     if w.shape[1] != d:
@@ -217,17 +224,17 @@ def triangular_statistics(
     through vectorized Cholesky factorizations.  Both depend on W only through
     W_i'W_j, whose law is free of B: one Haar frame serves all n_reps samples.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, p)
     xsq = float(x @ x)
     b = haar_stiefel_batch(d, p, 1, rng)[0]
-    # the clones are drawn and reduced DRAW_BLOCK samples at a time, in the
+    # the clones are drawn and reduced one draw_ahead block at a time, in the
     # order of one whole draw, so no (n_reps, k, d) stack is ever held
     def block_gram(v):
         w = clone_vectors(b, x, v)
         return np.einsum("nkd,nld->nkl", w, w)
 
     gram = np.concatenate([block_gram(v) for v in draw_ahead(
-        lambda m: rng.standard_normal((m, k, d)), n_reps, DRAW_BLOCK)])
+        lambda m: rng.standard_normal((m, k, d)), n_reps)])
     l_s = np.linalg.cholesky(gram - xsq)
     l_t = np.linalg.cholesky(gram)
     return {"s": np.transpose(l_s, (0, 2, 1)), "t": np.transpose(l_t, (0, 2, 1))}

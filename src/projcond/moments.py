@@ -75,15 +75,14 @@ class MonomialSpec:
         return None
 
 
-def _deviations(
-    spec: DistributionSpec, d: int, k: int, nb: int, rng: np.random.Generator
-) -> np.ndarray:
-    """nb deviations S_k - I_k, each from k fresh vectors: shape (nb, k, k).
+def _deviations(spec: DistributionSpec, k: int, nb: int, rng: np.random.Generator) -> np.ndarray:
+    """nb deviations S_k - I_k, each from k fresh vectors of the law's d:
+    shape (nb, k, k).
 
     The vectors are drawn and reduced in blocks of _BATCH // 8 deviations,
     which read the stream row by row and give the bits of one whole draw.
     """
-    block = _BATCH // 8
+    block, d = _BATCH // 8, spec.d
 
     def grams(m):
         z = sample_z(spec, m * k, rng).reshape(m, k, d)
@@ -93,23 +92,19 @@ def _deviations(
 
 
 def estimate_b1a(
-    spec: DistributionSpec,
-    d: int,
-    k: int,
-    epsilon: float,
-    n_blocks: int,
-    rng: np.random.Generator,
+    spec: DistributionSpec, k: int, n_blocks: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Estimate alpha: the mean of ||sqrt(d)(S_k - I_k)||^(2k+1+eps).
+    """Estimate alpha: the mean of ||sqrt(d)(S_k - I_k)||^(2k+1+eps) at
+    eps = DEFAULT_EPSILON.
 
     Spectral norms are taken; each block uses k fresh vectors.
     """
     if n_blocks < 1000:
         raise InvalidDimensionError("need n_blocks >= 10^3")
-    power = 2 * k + 1 + epsilon
+    d, power = spec.d, 2 * k + 1 + DEFAULT_EPSILON
 
     def draw(nb):
-        dev = _deviations(spec, d, k, nb, rng)
+        dev = _deviations(spec, k, nb, rng)
         return np.max(np.abs(np.linalg.eigvalsh(math.sqrt(d) * dev)), axis=1) ** power
 
     return batch_mean_se(n_blocks, _BATCH, draw)
@@ -123,11 +118,7 @@ def _monomial_values(dev: np.ndarray, G: MonomialSpec) -> np.ndarray:
 
 
 def estimate_monomial_mean(
-    spec: DistributionSpec,
-    d: int,
-    G: MonomialSpec,
-    n_blocks: int,
-    rng: np.random.Generator,
+    spec: DistributionSpec, G: MonomialSpec, n_blocks: int, rng: np.random.Generator
 ):
     """Scaled monomial mean d^(g/2) E[G(S_k - I_k)] with standard error.
 
@@ -139,9 +130,9 @@ def estimate_monomial_mean(
     k = G.max_vertex
     if G.degree > 2 * k:
         raise InvalidStructureError(f"monomial degree {G.degree} exceeds 2k = {2 * k}")
-    scale = d ** (G.degree / 2.0)
+    scale = spec.d ** (G.degree / 2.0)
     mean, se = batch_mean_se(
-        n_blocks, _BATCH, lambda nb: scale * _monomial_values(_deviations(spec, d, k, nb, rng), G)
+        n_blocks, _BATCH, lambda nb: scale * _monomial_values(_deviations(spec, k, nb, rng), G)
     )
     return mean, se, G.b1b_target()
 
@@ -162,9 +153,7 @@ class Prop5Cases:
     analytic: tuple[float, float, float]
 
 
-def prop5_special_cases(
-    spec: DistributionSpec, d: int, n: int, rng: np.random.Generator
-) -> Prop5Cases:
+def prop5_special_cases(spec: DistributionSpec, n: int, rng: np.random.Generator) -> Prop5Cases:
     """Monte Carlo estimates of the three special-case quantities.
 
     Uses E||Z||^2 = d and E(Z_1'Z_2)^2 = d exactly, so each case is a plain
@@ -173,6 +162,7 @@ def prop5_special_cases(
     """
     if n < 10000:
         raise InvalidDimensionError("need n >= 10^4")
+    d = spec.d
 
     def draw(nb):
         z1 = sample_z(spec, nb, rng)

@@ -28,11 +28,12 @@ def substream(root_seed: int, label: str, index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(seq))
 
 
-DRAW_BLOCK = 2000  # rows per block of the clone loops' draw_ahead; divides their 20 000-row batches
+CLONE_BATCH = 20000  # samples per batch of the clone loops' mean and SE
+DRAW_BLOCK = 2000    # rows per block of draw_ahead; divides CLONE_BATCH
 
 
-def draw_ahead(draw, n: int, block: int):
-    """Yield draw(nb) for consecutive blocks of at most ``block`` of n rows.
+def draw_ahead(draw, n: int):
+    """Yield draw(nb) for consecutive blocks of at most DRAW_BLOCK of n rows.
 
     The next block is drawn on one worker thread while the caller reduces
     the current one (NumPy's generators release the GIL while they fill), so
@@ -43,7 +44,7 @@ def draw_ahead(draw, n: int, block: int):
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    sizes = [min(block, n - start) for start in range(0, n, block)]
+    sizes = [min(DRAW_BLOCK, n - start) for start in range(0, n, DRAW_BLOCK)]
     with ThreadPoolExecutor(max_workers=1) as worker:
         ahead = worker.submit(draw, sizes[0]) if sizes else None
         for nb in sizes[1:]:

@@ -151,6 +151,13 @@ def test_scan_grid_validation():
         bounds.asymptotic_scan(CONS, 50, [math.log(50), 1e4], part="A")
 
 
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_scan_refuses_tau_outside_the_open_unit_interval(tau):
+    # tau = 0 reached a division by zero, and tau >= 1 the log of 1 - tau
+    with pytest.raises(InvalidDimensionError, match="tau must lie in"):
+        bounds.asymptotic_scan(CONS, 2, [1e3, 1e4], tau=tau, part="A")
+
+
 def test_gamma_constant_parts():
     ld = math.log(2 * math.sqrt(math.pi * math.e))
     assert bounds.gamma_constant(1.0, 1.0, "A") == pytest.approx(6 + 2 * ld)

@@ -351,6 +351,29 @@ def test_missing_config_file():
     assert main(["run", "/nonexistent/q.json"]) == 2
 
 
+def test_unreadable_config_names_config(tmp_path, capsys):
+    # a directory and a file that is not UTF-8 raised IsADirectoryError and
+    # UnicodeDecodeError with a traceback
+    (tmp_path / "dir.json").mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"experiment": "theorem-bound", "part": "\xc4"}')
+    for path in (tmp_path / "dir.json", latin):
+        assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "'config'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_failed_report_write_is_not_a_config_error(tmp_path):
+    # only the config read is guarded: a report path that is a directory
+    # still raises as itself
+    cfg = _write(tmp_path, "c.json", {
+        "experiment": "theorem-bound", "part": "A", "d": 100, "p": 1, "t": 1, "tau": 0.5,
+    })
+    (tmp_path / "r.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        main(["run", cfg, "--out", str(tmp_path / "r")])
+
+
 def test_mutated_eta_is_caught(monkeypatch):
     monkeypatch.setenv("PROJCOND_MUTATE", "eta")
     rows = acceptance.run_criterion(1)
@@ -486,13 +509,32 @@ def test_parse_config_raises_only_config_errors(kind, data):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half the start-up of every run; only the KS
-    # test in bartlett_distribution_check and g_membership's chi2 load it,
-    # inside the function
+    # test in bartlett_distribution_check loads it, inside the function
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     child = subprocess.run(
         [sys.executable, "-c", "import sys, projcond.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "False"
+
+
+def test_g_membership_run_leaves_scipy_stats_unloaded(tmp_path):
+    # the ball probability is scipy.special's chdtr; tau1 = 3 at d = 64 puts
+    # M_d above 1, so the kernel engine runs and the probability is taken
+    cfg = _write(tmp_path, "gm.json", {
+        "experiment": "g-membership", "spec": {"family": "iid-marginal", "marginal": "uniform"},
+        "d": 64, "n_frames": 1, "n_x": 100, "n_inner": 2000, "tau1": 3.0,
+    })
+    script = (
+        "import sys\n"
+        "from projcond import cli\n"
+        f"code = cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'g')!r}])\n"
+        "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, check=True)
+    assert child.stdout.split() == ["0", "True", "False"]
+    assert "M_d=1.1" in (tmp_path / "g.csv").read_text()
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
@@ -558,7 +600,7 @@ def test_verify_refuses_an_explicit_empty_out(tmp_path, capsys, monkeypatch):
 
 def test_cli_runs_without_scipy(tmp_path):
     # projcond starts on numpy alone: log_eta, conditional.eigsh, the KS
-    # test and g_membership's chi2 import their SciPy module when called,
+    # test and g_membership's chdtr import their SciPy module when called,
     # so a closed-form run and a run that stops at a bad field load none
     bound = _write(tmp_path, "bound.json", {
         "experiment": "theorem-bound", "part": "A", "d": 1e6, "p": 2, "t": 1, "tau": 0.5,

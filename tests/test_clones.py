@@ -5,12 +5,9 @@ import pytest
 from scipy import stats
 
 from projcond import clones, linalg
-from projcond.errors import (
-    DimensionMismatchError,
-    InvalidChainError,
-    InvalidDimensionError,
-)
+from projcond.errors import InvalidChainError, InvalidDimensionError
 from projcond.experiments import run_normalzero_check
+from projcond.streams import CLONE_BATCH
 
 
 def test_clone_projection_identities(rng_factory):
@@ -152,11 +149,11 @@ def test_radial_law_matches_density(rng_factory):
 def test_chain_identities(rng_factory):
     rng = rng_factory("chains")
     x = np.array([0.5])
-    est, se = clones.gaussian_chain_identity(x, 50, 1, 2, (0,), 5000, rng)
+    est, se = clones.gaussian_chain_identity(x, 50, 2, (0,), 5000, rng)
     assert est == 0.0 and se == 0.0  # normalization chain is exact
-    est, se = clones.gaussian_chain_identity(x, 50, 1, 2, (0, 2), 50_000, rng)
+    est, se = clones.gaussian_chain_identity(x, 50, 2, (0, 2), 50_000, rng)
     assert abs(est) < 4 * se
-    est, se = clones.gaussian_chain_identity(x, 60, 1, 2, "alternating", 50_000, rng)
+    est, se = clones.gaussian_chain_identity(x, 60, 2, "alternating", 50_000, rng)
     assert abs(est) < 4 * se
 
 
@@ -190,8 +187,8 @@ def test_one_frame_per_call(rng_factory, monkeypatch):
     monkeypatch.setattr(clones, "haar_stiefel_batch", counting(clones))
     monkeypatch.setattr(linalg, "haar_stiefel_batch", counting(linalg))
     rng = rng_factory("one-frame")
-    n = 2 * clones._CHAIN_BATCH + 1
-    clones.gaussian_chain_identity(np.array([0.5]), 20, 1, 2, (0, 2), n, rng)
+    n = 2 * CLONE_BATCH + 1
+    clones.gaussian_chain_identity(np.array([0.5]), 20, 2, (0, 2), n, rng)
     linalg.triangular_statistics(12, 2, 2, np.array([1.0, 0.0]), 1000, rng)
     assert sizes == [1, 1]
 
@@ -200,15 +197,17 @@ def test_chain_validation(rng_factory):
     rng = rng_factory("chain-bad")
     x = np.array([0.5])
     with pytest.raises(InvalidChainError):
-        clones.gaussian_chain_identity(x, 50, 1, 4, (0, 1), 1000, rng)  # gap < 2
+        clones.gaussian_chain_identity(x, 50, 4, (0, 1), 1000, rng)  # gap < 2
     with pytest.raises(InvalidChainError):
-        clones.gaussian_chain_identity(x, 50, 1, 4, (1, 3), 1000, rng)  # j_0 != 0
+        clones.gaussian_chain_identity(x, 50, 4, (1, 3), 1000, rng)  # j_0 != 0
     with pytest.raises(InvalidChainError):
-        clones.gaussian_chain_identity(x, 50, 1, 4, (0, 6), 1000, rng)  # j_m > k
+        clones.gaussian_chain_identity(x, 50, 4, (0, 6), 1000, rng)  # j_m > k
     with pytest.raises(InvalidChainError):
-        clones.gaussian_chain_identity(x, 50, 1, 3, "alternating", 1000, rng)  # odd k
-    with pytest.raises(DimensionMismatchError):
-        clones.gaussian_chain_identity(np.array([0.5, 0.1]), 50, 1, 2, (0,), 1000, rng)
+        clones.gaussian_chain_identity(x, 50, 3, "alternating", 1000, rng)  # odd k
+    # p is the length of x: k = 4 fits d - p at p = 1 and not at p = 2
+    assert clones.gaussian_chain_identity(x, 5, 4, (0,), 1000, rng) == (0.0, 0.0)
+    with pytest.raises(InvalidDimensionError):
+        clones.gaussian_chain_identity(np.array([0.5, 0.1]), 5, 4, (0,), 1000, rng)
 
 
 def test_mutation_hook(monkeypatch):

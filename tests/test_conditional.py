@@ -9,7 +9,7 @@ import pytest
 
 from projcond import bounds, conditional as cond, distributions as dist, linalg
 from projcond.acceptance import _uniform_fiber_moments
-from projcond.errors import InvalidDimensionError
+from projcond.errors import DimensionMismatchError, InvalidDimensionError
 
 B2 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 
@@ -387,6 +387,55 @@ def test_deviation_probability_preconditions(rng_factory):
         cond.deviation_probability(spec, B, t=0.5, n_outer=10, n_inner=2000, rng=rng)
     with pytest.raises(InvalidDimensionError):
         cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=10, rng=rng)
+
+
+def test_kernel_estimators_refuse_an_x_of_the_wrong_length(rng_factory):
+    # on a p = 2 pool, x = 0.3 was read as (0.3, 0.3) in the window and as
+    # ||x||^2 = 0.09 in the bandwidth and the Gaussian reference
+    rng = rng_factory("kernel-x-length")
+    pool = cond.build_pool(dist.iid_marginal("uniform", 16),
+                           linalg.haar_stiefel(16, 2, rng), 20_000, rng)
+    for x in (0.3, [0.3], [0.3, 0.3, 0.3]):
+        with pytest.raises(DimensionMismatchError):
+            cond.kernel_mu_deviation(pool, x)
+        with pytest.raises(DimensionMismatchError):
+            cond.kernel_delta_norm(pool, x)
+
+
+_GAMMA = bounds.gamma_constant(1.0, 1.0, "A")
+_FRAME_USERS = {
+    "build_pool": lambda spec, B, rng: cond.build_pool(spec, B, 2000, rng),
+    "deviation_probability": lambda spec, B, rng: cond.deviation_probability(
+        spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng),
+    "g_membership": lambda spec, B, rng: cond.g_membership(
+        spec, B, tau=0.5, gamma=_GAMMA, n_x=100, n_inner=2000, rng=rng, tau1=3.0),
+    "conditional_estimates": lambda spec, B, rng: cond.conditional_estimates(
+        spec, B, [0.3], 1000, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_USERS))
+def test_conditional_layer_refuses_a_frame_of_another_d(rng_factory, name):
+    # a frame whose d is not the law's is refused before anything is drawn;
+    # NumPy raised a shape error from inside the draws, or, for the
+    # Gaussian, an answer came back
+    rng = rng_factory("frame-d", sorted(_FRAME_USERS).index(name))
+    B = linalg.haar_stiefel(12, 1, rng)
+    replay = copy.deepcopy(rng)
+    for spec in (dist.iid_marginal("uniform", 10), dist.gaussian(10)):
+        with pytest.raises(DimensionMismatchError):
+            _FRAME_USERS[name](spec, B, rng)
+    assert np.array_equal(rng.random(4), replay.random(4))
+
+
+def test_ratio_engine_refuses_an_x_of_the_wrong_length(rng_factory):
+    rng = rng_factory("ratio-x-length")
+    B = linalg.haar_stiefel(6, 2, rng)
+    replay = copy.deepcopy(rng)
+    for x in ([0.3], [0.3, 0.1, 0.2]):
+        with pytest.raises(DimensionMismatchError):
+            cond.conditional_estimates(dist.iid_marginal("uniform", 6), B, x, 1000, rng)
+    assert np.array_equal(rng.random(4), replay.random(4))
 
 
 def test_g_membership_regimes(rng_factory):

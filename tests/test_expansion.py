@@ -6,6 +6,7 @@ import pytest
 
 from projcond import clones, expansion, experiments, linalg
 from projcond.errors import (
+    DimensionMismatchError,
     InvalidDimensionError,
     OutsideExpansionRegionError,
     ThresholdViolatedError,
@@ -169,6 +170,15 @@ def test_psi_threshold_guard():
         expansion.psi_eval(np.array([0.5]), np.eye(2), 10, 1)  # d below 4(k+p+1)M^4
     with pytest.raises(InvalidDimensionError):
         expansion.psi_eval(np.array([0.5]), np.eye(5), 10_000, 1)  # k > 4
+
+
+def test_expansion_refuses_an_x_of_the_wrong_length():
+    # an x of another length than p was read through ||x||^2 alone
+    for x, p in ((np.array([0.5, 0.1]), 1), (np.array([0.5]), 2)):
+        with pytest.raises(DimensionMismatchError):
+            expansion.psi_eval(x, np.eye(2), 2000, p)
+        with pytest.raises(DimensionMismatchError):
+            expansion.remainder_diagnostic(x, np.eye(2), 2000, p)
 
 
 def test_neumann_sum_fidelity(rng_factory):

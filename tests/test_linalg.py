@@ -8,9 +8,11 @@ from scipy import stats
 from projcond import linalg
 from projcond.errors import (
     ConstraintViolatedError,
+    DimensionMismatchError,
     InvalidDimensionError,
     RankDeficientError,
 )
+from projcond.streams import DRAW_BLOCK
 
 
 def test_haar_orthonormal(rng_factory):
@@ -158,7 +160,7 @@ def test_triangular_statistics_blocks_equal_one_draw(rng_factory):
     # the blocked draw and reduction equal one (n, k, d) draw reduced at
     # once, bitwise, and leave the generator where that draw leaves it
     rng = rng_factory("tri-blocks")
-    d, p, k, n = 20, 2, 3, 2 * linalg.DRAW_BLOCK + 123
+    d, p, k, n = 20, 2, 3, 2 * DRAW_BLOCK + 123
     x = np.array([1.0, 0.0])
     ref_rng = copy.deepcopy(rng)
     tri = linalg.triangular_statistics(d, p, k, x, n, rng)
@@ -168,6 +170,16 @@ def test_triangular_statistics_blocks_equal_one_draw(rng_factory):
     assert np.array_equal(tri["s"], np.transpose(np.linalg.cholesky(gram - x @ x), (0, 2, 1)))
     assert np.array_equal(tri["t"], np.transpose(np.linalg.cholesky(gram), (0, 2, 1)))
     assert np.array_equal(rng.random(8), ref_rng.random(8))
+
+
+def test_triangular_statistics_refuses_an_x_of_the_wrong_length(rng_factory):
+    # NumPy raised a shape error from the first block of clones
+    rng = rng_factory("tri-x")
+    replay = copy.deepcopy(rng)
+    for x in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(DimensionMismatchError):
+            linalg.triangular_statistics(14, 2, 3, x, 100, rng)
+    assert np.array_equal(rng.random(4), replay.random(4))
 
 
 def test_triangular_statistics_are_gram_schmidt_coordinates(rng_factory):

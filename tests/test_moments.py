@@ -32,7 +32,7 @@ def test_b1a_k1_matches_direct_statistic(rng_factory):
     # for k = 1 the norm is |sqrt(d)(Z'Z/d - 1)|
     d, n = 100, 4000
     spec = dist.iid_marginal("uniform", d)
-    est, se = mo.estimate_b1a(spec, d, 1, 0.5, n, rng_factory("b1a-k1"))
+    est, se = mo.estimate_b1a(spec, 1, n, rng_factory("b1a-k1"))
     z = dist.sample_z(spec, n, rng_factory("b1a-k1-direct"))
     direct = np.abs(math.sqrt(d) * (np.einsum("nd,nd->n", z, z) / d - 1.0)) ** 3.5
     joint = math.sqrt(se**2 + direct.var() / n)
@@ -40,7 +40,7 @@ def test_b1a_k1_matches_direct_statistic(rng_factory):
 
 
 def test_b1a_gaussian_stable(rng_factory):
-    est, se = mo.estimate_b1a(dist.gaussian(200), 200, 2, 0.5, 10_000, rng_factory("b1a-g"))
+    est, se = mo.estimate_b1a(dist.gaussian(200), 2, 10_000, rng_factory("b1a-g"))
     assert np.isfinite(est) and se / est < 0.1
 
 
@@ -50,7 +50,7 @@ def test_b1a_dimension_stability(rng_factory):
     ests = {}
     for d in (100, 400):
         ests[d] = mo.estimate_b1a(
-            dist.iid_marginal("uniform", d), d, 1, 0.5, 20_000, rng_factory(f"b1a-{d}")
+            dist.iid_marginal("uniform", d), 1, 20_000, rng_factory(f"b1a-{d}")
         )
     diff = abs(ests[100][0] - ests[400][0])
     joint = math.sqrt(ests[100][1] ** 2 + ests[400][1] ** 2)
@@ -60,7 +60,7 @@ def test_b1a_dimension_stability(rng_factory):
 def test_monomial_mean_quadratic_identity(rng_factory):
     mono = mo.MonomialSpec(pairs=((1, 2), (1, 2)))
     for spec in (dist.gaussian(100), dist.iid_marginal("triangular", 100)):
-        est, se, target = mo.estimate_monomial_mean(spec, 100, mono, 20_000,
+        est, se, target = mo.estimate_monomial_mean(spec, mono, 20_000,
                                                     rng_factory(f"quad-{spec.label}"))
         assert target == 1.0
         assert abs(est - target) < 4 * se
@@ -69,7 +69,7 @@ def test_monomial_mean_quadratic_identity(rng_factory):
 def test_monomial_mean_linear_term(rng_factory):
     mono = mo.MonomialSpec(pairs=((1, 2),))
     est, se, target = mo.estimate_monomial_mean(
-        dist.iid_marginal("exponential", 100), 100, mono, 20_000, rng_factory("lin")
+        dist.iid_marginal("exponential", 100), mono, 20_000, rng_factory("lin")
     )
     assert target == 0.0 and abs(est) < 4 * se
 
@@ -79,7 +79,7 @@ def test_monomial_mean_quartic_oracle(rng_factory):
     d = 100
     spec = dist.iid_marginal("uniform", d)
     mono = mo.MonomialSpec(pairs=((1, 2), (1, 2), (1, 3), (1, 3)))
-    est, se, target = mo.estimate_monomial_mean(spec, d, mono, 40_000, rng_factory("quart"))
+    est, se, target = mo.estimate_monomial_mean(spec, mono, 40_000, rng_factory("quart"))
     oracle = 1.0 + (dist.moment_oracle(spec).m4 - 1.0) / d
     assert target == 1.0  # purely quadratic above the diagonal
     assert abs(est - oracle) < 4 * se
@@ -92,7 +92,7 @@ def test_b1b_scale_stability(rng_factory):
     devs, noises = [], []
     for d in (100, 400, 1600):
         spec = dist.DistributionSpec.from_json(dict(spec_raw, d=d))
-        est, se, _ = mo.estimate_monomial_mean(spec, d, mono, 40_000,
+        est, se, _ = mo.estimate_monomial_mean(spec, mono, 40_000,
                                                rng_factory(f"scale-{d}"))
         devs.append(abs(est - 1.0) * math.sqrt(d))
         noises.append(se * math.sqrt(d))
@@ -106,7 +106,7 @@ def test_prop5_cases(rng_factory, marginal, analytic_b):
     d = 100
     spec = dist.iid_marginal(marginal, d)
     om = dist.moment_oracle(spec)
-    res = mo.prop5_special_cases(spec, d, 50_000, rng_factory(f"p5-{marginal}"))
+    res = mo.prop5_special_cases(spec, 50_000, rng_factory(f"p5-{marginal}"))
     assert res.analytic == (om.m4 - 3.0, om.m3**2, (om.m4**2 - 9.0) / d)
     assert res.analytic[1] == analytic_b
     for (est, se), target in zip((res.case_a, res.case_b, res.case_c), res.analytic):
@@ -114,7 +114,7 @@ def test_prop5_cases(rng_factory, marginal, analytic_b):
 
 
 def test_prop5_gaussian_all_zero(rng_factory):
-    res = mo.prop5_special_cases(dist.gaussian(100), 100, 50_000, rng_factory("p5-g"))
+    res = mo.prop5_special_cases(dist.gaussian(100), 50_000, rng_factory("p5-g"))
     for (est, se), target in zip((res.case_a, res.case_b, res.case_c), res.analytic):
         assert target == 0.0
         assert abs(est) < 4 * se
@@ -125,7 +125,7 @@ def test_gaussian_reference_limit_and_stability(rng_factory):
     limit = 2.0**1.75 * 2.0**1.75 * math.gamma(2.25) / math.sqrt(math.pi)
 
     def alpha_star(k, d, n, label):
-        return mo.estimate_b1a(dist.gaussian(d), d, k, mo.DEFAULT_EPSILON, n, rng_factory(label))
+        return mo.estimate_b1a(dist.gaussian(d), k, n, rng_factory(label))
 
     a_hi, se_hi = alpha_star(1, 3200, 30_000, "gref-hi")
     assert abs(a_hi - limit) < 4 * se_hi + 0.05 * limit
@@ -144,14 +144,14 @@ def test_monomial_means_close_to_gaussian_reference(rng_factory):
               ((1, 2), (1, 2), (3, 4), (3, 4))]
     spec = dist.iid_marginal("exponential", d)
     gspec = dist.gaussian(d)
-    alpha, _ = mo.estimate_b1a(spec, d, k, 0.5, 4000, rng_factory("p5i-a"))
-    alpha_star, _ = mo.estimate_b1a(gspec, d, k, 0.5, 4000, rng_factory("p5i-as"))
+    alpha, _ = mo.estimate_b1a(spec, k, 4000, rng_factory("p5i-a"))
+    alpha_star, _ = mo.estimate_b1a(gspec, k, 4000, rng_factory("p5i-as"))
     for pairs in family:
         mono = mo.MonomialSpec(pairs=pairs)
         h = mono.degree
         scale = d ** (h / 2.0)
-        est, se, _ = mo.estimate_monomial_mean(spec, d, mono, n, rng_factory("p5i-z"))
-        est_g, se_g, _ = mo.estimate_monomial_mean(gspec, d, mono, n, rng_factory("p5i-v"))
+        est, se, _ = mo.estimate_monomial_mean(spec, mono, n, rng_factory("p5i-z"))
+        est_g, se_g, _ = mo.estimate_monomial_mean(gspec, mono, n, rng_factory("p5i-v"))
         diff = abs(est - est_g) / scale  # back to the unscaled means
         joint = math.sqrt(se**2 + se_g**2) / scale
         assert diff <= d ** (-h / 2.0) * (alpha + alpha_star) + 8 * joint, mono.pairs
@@ -178,7 +178,7 @@ def test_prop5_blocks_equal_one_whole_draw(rng_factory, marginal):
     spec = dist.gaussian(d) if marginal == "gaussian" else dist.iid_marginal(marginal, d)
     rng = rng_factory("p5-blocks", ("gaussian", "exponential", "triangular").index(marginal))
     ref_rng = copy.deepcopy(rng)
-    res = mo.prop5_special_cases(spec, d, n, rng)
+    res = mo.prop5_special_cases(spec, n, rng)
     assert [res.case_a, res.case_b, res.case_c] == _prop5_one_shot(spec, d, n, ref_rng)
     assert np.array_equal(rng.random(8), ref_rng.random(8))
 
@@ -191,7 +191,7 @@ def test_deviations_blocks_equal_one_whole_draw(rng_factory, k):
     ref_rng = copy.deepcopy(rng)
     z = dist.sample_z(spec, nb * k, ref_rng).reshape(nb, k, d)
     ref = np.einsum("nkd,nld->nkl", z, z) / d - np.eye(k)
-    assert np.array_equal(mo._deviations(spec, d, k, nb, rng), ref)
+    assert np.array_equal(mo._deviations(spec, k, nb, rng), ref)
     assert np.array_equal(rng.random(8), ref_rng.random(8))
 
 
@@ -200,7 +200,7 @@ def test_prop5_holds_one_sample_and_one_block(rng_factory, traced_peak):
     # two whole samples of a batch peaked at 55.3 MB, this reads 30.8 MB
     d, batch = 100, mo._BATCH * 8
     spec = dist.iid_marginal("uniform", d)
-    _, peak = traced_peak(lambda: mo.prop5_special_cases(spec, d, 100_000, rng_factory("p5-peak")))
+    _, peak = traced_peak(lambda: mo.prop5_special_cases(spec, 100_000, rng_factory("p5-peak")))
     assert peak <= 1.1 * 8 * (batch * d + mo._BATCH * d + 3 * batch)
 
 
@@ -210,5 +210,5 @@ def test_monomial_mean_holds_one_block_of_deviations(rng_factory, traced_peak):
     d = 400
     mono = mo.MonomialSpec(pairs=((1, 2), (1, 2)))
     _, peak = traced_peak(lambda: mo.estimate_monomial_mean(
-        dist.iid_marginal("uniform", d), d, mono, 20_000, rng_factory("mono-peak")))
+        dist.iid_marginal("uniform", d), mono, 20_000, rng_factory("mono-peak")))
     assert peak < 6e6

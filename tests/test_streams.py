@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from projcond import clones, experiments, linalg
-from projcond.streams import DRAW_BLOCK, batch_mean_se, draw_ahead
+from projcond import clones, experiments, linalg, streams
+from projcond.streams import CLONE_BATCH, DRAW_BLOCK, batch_mean_se, draw_ahead
 
 
 def _two_sum_loop(n, batch, draw):
@@ -58,8 +58,8 @@ def test_draw_ahead_equals_one_serial_draw(rng_factory, n):
     # draw, bitwise, and leave the generator where that draw leaves it
     rng = rng_factory(f"ahead-{n}")
     ref = copy.deepcopy(rng)
-    blocks = list(draw_ahead(lambda m: rng.standard_normal((m, 2, 3)), n, 2000))
-    assert [len(v) for v in blocks] == [min(2000, n - a) for a in range(0, n, 2000)]
+    blocks = list(draw_ahead(lambda m: rng.standard_normal((m, 2, 3)), n))
+    assert [len(v) for v in blocks] == [min(DRAW_BLOCK, n - a) for a in range(0, n, DRAW_BLOCK)]
     assert np.array_equal(np.concatenate(blocks), ref.standard_normal((n, 2, 3)))
     assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
@@ -67,16 +67,16 @@ def test_draw_ahead_equals_one_serial_draw(rng_factory, n):
 def test_draw_ahead_joins_its_worker(rng_factory):
     rng = rng_factory("ahead-join")
     start = threading.active_count()
-    for _ in draw_ahead(rng.standard_normal, 7000, 2000):
+    for _ in draw_ahead(rng.standard_normal, 7000):
         assert threading.active_count() == start + 1
     assert threading.active_count() == start
     # a caller that stops early has drawn one block ahead, and closing the
     # loop still joins the worker
     drawn = []
-    blocks = draw_ahead(lambda m: drawn.append(m) or rng.standard_normal(m), 7000, 2000)
+    blocks = draw_ahead(lambda m: drawn.append(m) or rng.standard_normal(m), 7000)
     next(blocks)
     blocks.close()
-    assert drawn == [2000, 2000]
+    assert drawn == [DRAW_BLOCK, DRAW_BLOCK]
     assert threading.active_count() == start
 
 
@@ -89,15 +89,14 @@ def test_draw_ahead_raises_the_draws_exception():
     start = threading.active_count()
     seen = []
     with pytest.raises(ValueError, match="bad block"):
-        for v in draw_ahead(draw, 4500, 2000):
+        for v in draw_ahead(draw, 4500):
             seen.append(len(v))
     assert seen == [2000, 2000]
     assert threading.active_count() == start
 
 
 def _set_block(monkeypatch, block):
-    for module in (clones, experiments, linalg):
-        monkeypatch.setattr(module, "DRAW_BLOCK", block)
+    monkeypatch.setattr(streams, "DRAW_BLOCK", block)
 
 
 def _blocked_results(make):
@@ -105,7 +104,7 @@ def _blocked_results(make):
     for p in (1, 2):
         x = np.array([0.6, 0.2][:p])
         for chain in [(0, 2, 4), "alternating"]:
-            out.append(clones.gaussian_chain_identity(x, 16, p, 4, chain, 5_001, make(f"c{p}{chain}")))
+            out.append(clones.gaussian_chain_identity(x, 16, 4, chain, 5_001, make(f"c{p}{chain}")))
     out.append([(r.estimate, r.se) for r in experiments.run_clone_density_check(
         make("dens"), 12, 2, 3, 4_500)])
     tri = linalg.triangular_statistics(14, 2, 3, np.array([1.0, 0.0]), 4_321, make("tri"))
@@ -123,7 +122,7 @@ def test_results_do_not_depend_on_the_draw_block(rng_factory, monkeypatch):
 
 
 def test_draw_block_divides_the_batches():
-    assert clones._CHAIN_BATCH % DRAW_BLOCK == 0 and 20000 % DRAW_BLOCK == 0
+    assert CLONE_BATCH % DRAW_BLOCK == 0
 
 
 def test_clone_loops_hold_only_blocks(rng_factory, traced_peak):
@@ -132,7 +131,7 @@ def test_clone_loops_hold_only_blocks(rng_factory, traced_peak):
     # theirs read 16 MB and 5 MB
     clones.log_eta(30, 2, 4)  # loads scipy.special outside the trace
     _, chain = traced_peak(lambda: clones.gaussian_chain_identity(
-        [0.5], 60, 1, 4, (0, 2), 100_000, rng_factory("peak-chain")))
+        [0.5], 60, 4, (0, 2), 100_000, rng_factory("peak-chain")))
     assert chain < 32e6
     _, density = traced_peak(lambda: experiments.run_clone_density_check(
         rng_factory("peak-density"), 30, 2, 4))
