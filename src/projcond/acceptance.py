@@ -208,8 +208,8 @@ def criterion_10_bound_arithmetic(seed: int) -> list[ReportRow]:
         t = float(rng.uniform(0.1, 5.0))
         part = "A" if rng.random() < 0.5 else "B"
         cons = moments.MomentConditionConstants(epsilon=eps, xi=xi, D=D)
-        res = bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=d, p=p, t=t, tau=tau, constants=cons, kappa=kappa, g=g, part=part))
+        res = bounds.theorem_bound(d=d, p=p, t=t, tau=tau, constants=cons, kappa=kappa, g=g,
+                                   part=part)
         xi_ref, gamma_ref, dev_ref, nu_ref = _direct_theorem_bound(
             d, p, t, tau, eps, xi, D, kappa, g, part)
         worst_dev = max(worst_dev, abs(res.deviation_bound - dev_ref) / dev_ref)
@@ -329,12 +329,10 @@ def run_smoke(seed: int = DEFAULT_SEED) -> list[ReportRow]:
     v2 = bounds.generic_bound(2, 2, 0.4, 1.0, 1.2, 1.1, 2e4, 0.3, 1.5)
     rows.append(exact_row("smoke", "bound;doubling-d power law", v2 / v1, 2.0 ** -0.3, 1e-12))
     cons = moments.MomentConditionConstants()
-    resA = bounds.theorem_bound(bounds.TheoremBoundInputs(
-        d=1e6, p=2, t=1e12, tau=0.5, constants=cons, part="A"))
+    resA = bounds.theorem_bound(d=1e6, p=2, t=1e12, tau=0.5, constants=cons, part="A")
     limit = resA.gamma / 0.5 * 2 / (3 * resA.xi_eff * math.log(1e6))
     rows.append(exact_row("smoke", "bound;t->inf limit", resA.deviation_bound, limit, 1e-10))
-    resB = bounds.theorem_bound(bounds.TheoremBoundInputs(
-        d=1e6, p=2, t=1.0, tau=0.5, constants=cons, part="B"))
+    resB = bounds.theorem_bound(d=1e6, p=2, t=1.0, tau=0.5, constants=cons, part="B")
     rows.append(exact_row("smoke", "bound;xi2 = (3/5) xi1", resB.xi_eff, 0.6 * resA.xi_eff, 1e-15))
 
     gspec20 = distributions.gaussian(20)

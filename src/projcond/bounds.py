@@ -13,6 +13,7 @@ bounds fall, and how far) is left to the reports, through bounds_decrease.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,30 @@ LOG_2_SQRT_PI_E = math.log(2.0) + 0.5 * (math.log(math.pi) + 1.0)  # log(2 sqrt(
 
 PART_A = "A"
 PART_B = "B"
-_PART_SCALE = {PART_A: 3, PART_B: 5}
+
+# what parts A and B differ in: the scale c of xi_eff = min{xi, eps/2 + 1/4, 1/2}/c,
+# gamma = max{g, offset + slope log(2 D sqrt(pi e))}, the balanced tau_2 = factor
+# tau xi_eff, and the weight of nu(G^c)
+_Part = namedtuple("_Part", "scale gamma_offset gamma_slope tau2_factor nu_weight")
+_PARTS = {PART_A: _Part(3, 6.0, 2.0, 2.0, 1.0), PART_B: _Part(5, 10.0, 4.0, 4.0, 2.0)}
 
 
-def _check_part(part: str):
-    if part not in _PART_SCALE:
+def _part(tau: float, part: str, p: int = 1, d: float = math.inf) -> _Part:
+    """The constants of a part; refuses, in this order, a part other than A
+    or B, p outside [1, d) and tau outside (0, 1)."""
+    row = _PARTS.get(part)
+    if row is None:
         raise InvalidDimensionError("part must be 'A' or 'B'")
+    if not 1 <= p < d:
+        raise InvalidDimensionError("need 1 <= p < d")
+    if not 0.0 < tau < 1.0:
+        raise InvalidDimensionError("tau must lie in (0, 1)")
+    return row
 
 
 def xi_effective(xi: float, epsilon: float, part: str) -> float:
     """min{xi, eps/2 + 1/4, 1/2} divided by 3 (part A) or 5 (part B)."""
-    return min(xi, epsilon / 2.0 + 0.25, 0.5) / _PART_SCALE[part]
+    return min(xi, epsilon / 2.0 + 0.25, 0.5) / _PARTS[part].scale
 
 
 def gamma_constant(g: float, D: float, part: str) -> float:
@@ -42,25 +56,19 @@ def gamma_constant(g: float, D: float, part: str) -> float:
     max{g, 10 + 4 log(2 D sqrt(pi e))} for part B."""
     if not D > 0.0:
         raise InvalidDimensionError("need D > 0")
-    ld = LOG_2_SQRT_PI_E + math.log(D)
-    if part == PART_A:
-        return max(g, 6.0 + 2.0 * ld)
-    return max(g, 10.0 + 4.0 * ld)
+    row = _PARTS[part]
+    return max(g, row.gamma_offset + row.gamma_slope * (LOG_2_SQRT_PI_E + math.log(D)))
 
 
 def balanced_tuning(tau: float, xi_eff: float, part: str) -> tuple[float, float]:
     """Tuning exponents (tau_1, tau_2) that balance the two bound halves.
 
     Part A solves tau_1 + tau_2 - 3 xi_1 = -tau_2/2 and tau_2/2 = tau xi_1;
-    part B solves tau_1 + tau_2 - 5 xi_2 = -tau_2/4 = -tau xi_2.
+    part B solves tau_1 + tau_2 - 5 xi_2 = -tau_2/4 = -tau xi_2.  Refuses a
+    part other than A or B and tau outside (0, 1).
     """
-    if part == PART_A:
-        tau2 = 2.0 * tau * xi_eff
-        tau1 = 3.0 * xi_eff * (1.0 - tau)
-    else:
-        tau2 = 4.0 * tau * xi_eff
-        tau1 = 5.0 * xi_eff * (1.0 - tau)
-    return tau1, tau2
+    row = _part(tau, part)
+    return row.scale * xi_eff * (1.0 - tau), row.tau2_factor * tau * xi_eff
 
 
 def generic_bound(
@@ -83,29 +91,6 @@ def generic_bound(
 
 
 @dataclass(frozen=True)
-class TheoremBoundInputs:
-    d: float
-    p: int
-    t: float
-    tau: float
-    constants: MomentConditionConstants
-    kappa: float = 1.0
-    g: float = 1.0
-    part: str = PART_A
-
-    def __post_init__(self):
-        _check_part(self.part)
-        if not 1 <= self.p < self.d:
-            raise InvalidDimensionError("need 1 <= p < d")
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidDimensionError("tau must lie in (0, 1)")
-        if self.kappa < 0.0:
-            raise InvalidDimensionError("kappa must be >= 0 (>= 1 for meaningful bounds)")
-        if self.t <= 0.0:
-            raise InvalidDimensionError("threshold t must be > 0")
-
-
-@dataclass(frozen=True)
 class TheoremBoundResult:
     xi_eff: float
     gamma: float
@@ -125,19 +110,14 @@ def _evaluate(
     only where exp cannot overflow."""
     xi_eff = xi_effective(constants.xi, constants.epsilon, part)
     gamma = gamma_constant(g, constants.D, part)
-    c = _PART_SCALE[part]
+    row = _PARTS[part]
     log_first = -tau * xi_eff * log_d - math.log(t)
-    log_second = (
-        math.log(gamma) - math.log(1.0 - tau) + math.log(p) - math.log(c * xi_eff * log_d)
-    )
+    log_second = (math.log(gamma) - math.log(1.0 - tau) + math.log(p)
+                  - math.log(row.scale * xi_eff * log_d))
     log_dev = float(np.logaddexp(log_first, log_second))
     log_nu = -tau * xi_eff * (1.0 - (gamma / tau) * p / (xi_eff * log_d)) * log_d
-    if kappa > 0:
-        log_nu += math.log(kappa)
-    else:
-        log_nu = -math.inf
-    if part == PART_B:
-        log_nu += math.log(2.0)
+    log_nu = log_nu + math.log(kappa) if kappa > 0 else -math.inf
+    log_nu += math.log(row.nu_weight)
     return TheoremBoundResult(
         xi_eff=xi_eff,
         gamma=gamma,
@@ -150,25 +130,26 @@ def _evaluate(
     )
 
 
-def theorem_bound(inputs: TheoremBoundInputs) -> TheoremBoundResult:
+def theorem_bound(
+    d: float, p: int, t: float, tau: float, constants: MomentConditionConstants,
+    kappa: float = 1.0, g: float = 1.0, part: str = PART_A,
+) -> TheoremBoundResult:
     """Evaluate the two non-asymptotic bounds for the requested part.
 
     deviation_bound = (1/t) d^(-tau xi_eff) + gamma/(1-tau) p/(c xi_eff log d)
     and nu_gc_bound = kappa d^(-tau xi_eff (1 - (gamma/tau) p/(xi_eff log d)))
     with c = 3, kappa weight 1 for part A and c = 5, weight 2 for part B.
     """
-    return _evaluate(
-        math.log(inputs.d), inputs.p, inputs.t, inputs.tau,
-        inputs.constants, inputs.kappa, inputs.g, inputs.part,
-    )
+    _part(tau, part, p, d)
+    if kappa < 0.0:
+        raise InvalidDimensionError("kappa must be >= 0 (>= 1 for meaningful bounds)")
+    if t <= 0.0:
+        raise InvalidDimensionError("threshold t must be > 0")
+    return _evaluate(math.log(d), p, t, tau, constants, kappa, g, part)
 
 
 def asymptotic_scan(
-    constants: MomentConditionConstants,
-    p: int,
-    log_d_grid,
-    tau: float = 0.5,
-    part: str = PART_B,
+    constants: MomentConditionConstants, p: int, log_d_grid, tau: float, part: str,
 ) -> list[TheoremBoundResult]:
     """Formula-level scan of both bounds at a fixed p along a grid of log d.
 
@@ -178,9 +159,7 @@ def asymptotic_scan(
     evaluates; whether the bounds fall (bounds_decrease) and how far is for
     the caller to report.
     """
-    _check_part(part)
-    if not 0.0 < tau < 1.0:
-        raise InvalidDimensionError("tau must lie in (0, 1)")
+    _part(tau, part)
     grid = [float(v) for v in log_d_grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidDimensionError("log_d_grid must be increasing with >= 2 points")

@@ -21,7 +21,8 @@ import time
 
 from . import acceptance
 from .errors import ConfigError, ProjcondError
-from .experiments import ReportRow, read_field, run_experiment, write_csv, write_summary
+from .experiments import (ReportRow, parse_experiment, read_field, run_experiment, write_csv,
+                          write_summary)
 
 
 def _emit(rows: list[ReportRow], timings: dict, out_prefix: str, seed: int) -> int:
@@ -49,9 +50,12 @@ def _seed(value) -> int:
 
 
 def _out(value) -> str:
-    """The report prefix of ``run`` and ``verify``: a non-empty string."""
+    """The report prefix of ``run`` and ``verify``: a non-empty string in a
+    directory that exists, checked before anything runs."""
     if not isinstance(value, str) or not value:
         raise ConfigError("out", f"expected a non-empty string, got {value!r}")
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise ConfigError("out", f"no directory {os.path.dirname(value)!r} for the reports")
     return value
 
 
@@ -81,11 +85,14 @@ def _cmd_run(args) -> int:
         raise ConfigError("experiments", "expected a non-empty JSON list of experiment objects")
     elif cfg:
         raise ConfigError(next(iter(cfg)), "only seed and out may stand beside an experiments list")
-    timings: dict = {}
-    rows: list[ReportRow] = []
+    # every experiment is read before the first one runs
     for i, exp in enumerate(experiments):
         if not isinstance(exp, dict):
             raise ConfigError(f"experiments[{i}]", "expected a JSON object")
+        parse_experiment(exp)
+    timings: dict = {}
+    rows: list[ReportRow] = []
+    for i, exp in enumerate(experiments):
         exp_rows, ms = run_experiment(exp, seed, index=i)
         timings[f"{i}:{exp['experiment']}"] = round(ms, 3)
         rows.extend(exp_rows)
@@ -141,9 +148,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:  # a report path in a missing directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ProjcondError as exc:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,13 +37,13 @@ from .distributions import DistributionSpec, gaussian, log_density_batch, sample
 from .errors import DegenerateDensityError, DimensionMismatchError, InvalidDimensionError
 from .linalg import StiefelMatrix, as_point, as_stiefel, clone_vectors, spectral_norm
 from .streams import mean_se
-from .bounds import PART_A, balanced_tuning
+from .bounds import PART_A, balanced_tuning, xi_effective
+from .moments import DEFAULT_EPSILON, DEFAULT_XI
 
 _JACKKNIFE_BLOCKS = 20
 _RATIO_BATCH = 20000  # inner draws per chunk of the ratio engine
 _BLOCK_ROWS = 4096    # rows per block of every kernel-engine pass over a pool
 _GRAM_CAP = 30000     # most rows in one kernel second-moment Gram
-_XI_EFF = 1.0 / 6.0   # xi_1 of part A at the default moment constants
 
 
 @dataclass
@@ -202,7 +203,7 @@ def build_pool(
     B = _frame_of(spec, B)
     # the build holds one float32 pool plus one float64 block of
     # _BLOCK_ROWS rows at a time: each block is freed before the next draw,
-    # and the sort moves rows within the pool
+    # and the sort moves rows within the pool, a float32 block at a time
     z = np.empty((n_pool, B.d), dtype=np.float32)
     proj = np.empty((n_pool, B.p))
     for done in range(0, n_pool, _BLOCK_ROWS):
@@ -224,23 +225,31 @@ def build_pool(
 
 def _take_rows_in_place(z: np.ndarray, order: np.ndarray) -> None:
     """Reorder the rows of z in place so that z ends bitwise equal to
-    z[order], holding one row.
+    z[order], holding one block of rows and one cycle's indices.
 
-    Each cycle of the permutation is followed from its first unplaced slot:
-    that slot's row is held, z[i] = z[order[i]] moves the rows along the
-    cycle, and the held row goes into the cycle's last slot.
+    Each cycle of the permutation is followed from its first unplaced slot
+    into a list of indices cyc; its first row is held, the rows move along
+    it in chunks of _BLOCK_ROWS, z[cyc[a:b]] = z[cyc[a + 1:b + 1]], and the
+    held row goes into the cycle's last slot.
     """
-    placed = np.zeros(len(order), dtype=bool)
+    # memoryviews read single entries as Python ints and bools, much faster
+    # than indexing the arrays, which makes NumPy scalars
+    nxt, placed = memoryview(order), np.zeros(len(order), dtype=bool)
+    is_placed = memoryview(placed)
     for start in range(len(order)):
-        if placed[start]:
+        if is_placed[start]:
             continue
-        held = z[start].copy()
-        i, j = start, order[start]
+        cyc, j = array("q", [start]), nxt[start]
         while j != start:
-            z[i] = z[j]
-            placed[j] = True
-            i, j = j, order[j]
-        z[i] = held
+            cyc.append(j)
+            j = nxt[j]
+        cyc = np.frombuffer(cyc, dtype=np.int64)
+        placed[cyc] = True
+        held = z[start].copy()
+        for a in range(0, len(cyc) - 1, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, len(cyc) - 1)
+            z[cyc[a:b]] = z[cyc[a + 1:b + 1]]
+        z[cyc[-1]] = held
 
 
 def _bandwidth_at(pool: ForwardPool, x: np.ndarray) -> float:
@@ -537,8 +546,8 @@ def g_membership(
     The integral of ||mu_(x|B) - Bx||^2 h(x|B)^2 over the Gaussian ball
     ||x|| <= M_d is estimated by rejection-sampled Gaussian x's; the
     ball probability rescales the conditional mean.  tau1 and tau2 come
-    from the balanced tuning given tau and xi_1 = 1/6 (part A at the default
-    moment constants); tau1 can be overridden.  For the Gaussian
+    from the balanced tuning given tau in (0, 1) and xi_1 = 1/6 (part A at
+    the default moment constants); tau1 can be overridden.  For the Gaussian
     mu_(x|B) = Bx exactly, so the integral is 0 with nothing drawn.
     """
     from scipy.special import chdtr
@@ -553,7 +562,10 @@ def g_membership(
         raise InvalidDimensionError("need n_inner >= 10^3")
     if tau1 is not None and not tau1 > 0.0:
         raise InvalidDimensionError("need tau1 > 0")
-    t1_default, tau2 = balanced_tuning(tau, _XI_EFF, PART_A)
+    if not gamma > 0.0:
+        raise InvalidDimensionError("need gamma > 0")
+    t1_default, tau2 = balanced_tuning(tau, xi_effective(DEFAULT_XI, DEFAULT_EPSILON, PART_A),
+                                       PART_A)
     tau1 = t1_default if tau1 is None else tau1
     m_d = math.sqrt(tau1 * math.log(d) / gamma)
     delta_d = d ** (-tau2)

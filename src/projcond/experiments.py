@@ -457,14 +457,15 @@ def run_g_membership(
     D: float = 1.0, tau1: optional_float = None,
 ) -> list[ReportRow]:
     law = distributions.DistributionSpec.from_json(dict(spec, d=d))
-    gamma = bounds.gamma_constant(g, D, bounds.PART_A)
+    bound = bounds.theorem_bound(d=d, p=p, t=1.0, tau=tau, constants=MomentConditionConstants(D=D),
+                                 g=g, part=bounds.PART_A)
     members = 0
     rows = []
     m_d = None
     for i in range(n_frames):
         B = linalg.haar_stiefel(d, p, rng)
         rep = conditional.g_membership(
-            law, B, tau=tau, gamma=gamma, n_x=n_x, n_inner=n_inner, rng=rng, tau1=tau1,
+            law, B, tau=tau, gamma=bound.gamma, n_x=n_x, n_inner=n_inner, rng=rng, tau1=tau1,
         )
         members += rep.member
         m_d = rep.M_d
@@ -475,13 +476,10 @@ def run_g_membership(
             float(rep.member),
         ))
     frac = members / n_frames
-    cons = MomentConditionConstants(D=D)
-    nu_bound = bounds.theorem_bound(bounds.TheoremBoundInputs(
-        d=d, p=p, t=1.0, tau=tau, constants=cons, g=g, part=bounds.PART_A
-    )).nu_gc_bound
     rows.append(info_row(
         "g-membership",
-        f"{law.label};d={d};p={p};M_d={m_d:.4f};member_frac={frac:.3f};nu_gc_bound={nu_bound:.4g}",
+        f"{law.label};d={d};p={p};M_d={m_d:.4f};member_frac={frac:.3f};"
+        f"nu_gc_bound={bound.nu_gc_bound:.4g}",
         frac,
     ))
     if m_d <= 1.0:
@@ -494,9 +492,8 @@ def run_theorem_bound(
     constants: constants_object = MomentConditionConstants(),
     kappa: float = 1.0, g: float = 1.0,
 ) -> list[ReportRow]:
-    res = bounds.theorem_bound(bounds.TheoremBoundInputs(
-        d=d, p=p, t=t, tau=tau, constants=constants, kappa=kappa, g=g, part=part,
-    ))
+    res = bounds.theorem_bound(d=d, p=p, t=t, tau=tau, constants=constants, kappa=kappa, g=g,
+                               part=part)
     tag = "vacuous" if res.deviation_vacuous else "informative"
     return [
         info_row("theorem-bound",
@@ -562,14 +559,20 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(cfg: dict, seed: int, index: int = 0) -> tuple[list[ReportRow], float]:
-    """Run one experiment object: its "experiment" kind and that kind's fields."""
+def parse_experiment(cfg: dict) -> tuple[str, dict]:
+    """The "experiment" kind of one experiment object and its runner's
+    keyword arguments, read from that kind's fields."""
     kind = cfg.get("experiment")
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown kind {kind!r}; choose from {sorted(EXPERIMENTS)}")
-    fn = EXPERIMENTS[kind]
-    args = parse_config(fn, {name: v for name, v in cfg.items() if name != "experiment"})
+    return kind, parse_config(EXPERIMENTS[kind], {name: v for name, v in cfg.items()
+                                                  if name != "experiment"})
+
+
+def run_experiment(cfg: dict, seed: int, index: int = 0) -> tuple[list[ReportRow], float]:
+    """Run one experiment object: its "experiment" kind and that kind's fields."""
+    kind, args = parse_experiment(cfg)
     rng = substream(seed, kind, index)
     t0 = time.perf_counter()
-    rows = fn(rng, **args)
+    rows = EXPERIMENTS[kind](rng, **args)
     return rows, (time.perf_counter() - t0) * 1000.0

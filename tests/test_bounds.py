@@ -41,16 +41,14 @@ def test_generic_bound_random_tuples_vs_direct(rng_factory):
 
 
 def test_theorem_bound_worked_example():
-    inp = bounds.TheoremBoundInputs(d=1e6, p=2, t=1.0, tau=0.5, constants=CONS, part="A")
-    res = bounds.theorem_bound(inp)
+    res = bounds.theorem_bound(d=1e6, p=2, t=1.0, tau=0.5, constants=CONS, part="A")
     assert res.xi_eff == pytest.approx(1.0 / 6.0)
     assert res.gamma == pytest.approx(6 + 2 * math.log(2 * math.sqrt(math.pi * math.e)), rel=1e-12)
     first = 10.0**-0.5
     second = res.gamma / 0.5 * 2.0 / (0.5 * math.log(1e6))
     assert res.deviation_bound == pytest.approx(first + second, rel=1e-12)
     assert res.deviation_vacuous  # ~5.8 at desk scale
-    res_b = bounds.theorem_bound(bounds.TheoremBoundInputs(
-        d=1e6, p=2, t=1.0, tau=0.5, constants=CONS, part="B"))
+    res_b = bounds.theorem_bound(d=1e6, p=2, t=1.0, tau=0.5, constants=CONS, part="B")
     assert res_b.xi_eff == pytest.approx(0.6 * res.xi_eff, rel=1e-15)
 
 
@@ -61,8 +59,8 @@ def test_every_constant_moves_a_bound():
     assert sorted(f.name for f in dataclasses.fields(MomentConditionConstants)) == sorted(moved)
 
     def results(cons):
-        return [bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=1e6, p=2, t=1.0, tau=0.5, constants=cons, part=part)) for part in "AB"]
+        return [bounds.theorem_bound(d=1e6, p=2, t=1.0, tau=0.5, constants=cons, part=part)
+                for part in "AB"]
 
     base = results(CONS)
     for name, value in moved.items():
@@ -70,18 +68,17 @@ def test_every_constant_moves_a_bound():
 
 
 def test_theorem_bound_t_limit():
-    res = bounds.theorem_bound(bounds.TheoremBoundInputs(
-        d=1e6, p=2, t=1e15, tau=0.5, constants=CONS, part="A"))
+    res = bounds.theorem_bound(d=1e6, p=2, t=1e15, tau=0.5, constants=CONS, part="A")
     tail = res.gamma / 0.5 * 2 / (3 * res.xi_eff * math.log(1e6))
     assert res.deviation_bound == pytest.approx(tail, rel=1e-9)
 
 
 def test_theorem_bound_part_b_doubles_nu():
     kw = dict(d=1e6, p=1, t=1.0, tau=0.5, constants=CONS, kappa=1.0, g=1.0)
-    res_a = bounds.theorem_bound(bounds.TheoremBoundInputs(part="A", **kw))
+    res_a = bounds.theorem_bound(part="A", **kw)
     # with matching exponents, part B carries the extra factor of two
     log_nu_b_at_a_exponent = res_a.log_nu_gc_bound + math.log(2.0)
-    res_b = bounds.theorem_bound(bounds.TheoremBoundInputs(part="B", **kw))
+    res_b = bounds.theorem_bound(part="B", **kw)
     assert res_b.log_nu_gc_bound != res_a.log_nu_gc_bound
     assert log_nu_b_at_a_exponent > res_a.log_nu_gc_bound
 
@@ -92,31 +89,30 @@ def test_theorem_bound_monotonicity(rng_factory):
         d = float(rng.uniform(1e5, 1e9))
         tau = float(rng.uniform(0.2, 0.8))
         t = float(rng.uniform(0.5, 2.0))
-        base = bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=d, p=2, t=t, tau=tau, constants=CONS, part="A"))
-        bigger_t = bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=d, p=2, t=2 * t, tau=tau, constants=CONS, part="A"))
+        base = bounds.theorem_bound(d=d, p=2, t=t, tau=tau, constants=CONS, part="A")
+        bigger_t = bounds.theorem_bound(d=d, p=2, t=2 * t, tau=tau, constants=CONS, part="A")
         assert bigger_t.deviation_bound < base.deviation_bound
-        bigger_d = bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=10 * d, p=2, t=t, tau=tau, constants=CONS, part="A"))
+        bigger_d = bounds.theorem_bound(d=10 * d, p=2, t=t, tau=tau, constants=CONS, part="A")
         assert bigger_d.deviation_bound < base.deviation_bound
-        bigger_p = bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=d, p=3, t=t, tau=tau, constants=CONS, part="A"))
+        bigger_p = bounds.theorem_bound(d=d, p=3, t=t, tau=tau, constants=CONS, part="A")
         assert bigger_p.deviation_bound > base.deviation_bound
 
 
 def test_theorem_input_validation():
     with pytest.raises(InvalidDimensionError):
-        bounds.TheoremBoundInputs(d=10, p=12, t=1.0, tau=0.5, constants=CONS)
+        bounds.theorem_bound(d=10, p=12, t=1.0, tau=0.5, constants=CONS)
     with pytest.raises(InvalidDimensionError):
-        bounds.TheoremBoundInputs(d=10, p=1, t=1.0, tau=1.5, constants=CONS)
+        bounds.theorem_bound(d=10, p=1, t=1.0, tau=1.5, constants=CONS)
     with pytest.raises(InvalidDimensionError):
-        bounds.TheoremBoundInputs(d=10, p=1, t=-1.0, tau=0.5, constants=CONS)
+        bounds.theorem_bound(d=10, p=1, t=-1.0, tau=0.5, constants=CONS)
     with pytest.raises(InvalidDimensionError):
-        bounds.TheoremBoundInputs(d=10, p=1, t=1.0, tau=0.5, constants=CONS, part="C")
+        bounds.theorem_bound(d=10, p=1, t=1.0, tau=0.5, constants=CONS, part="C")
     # p = 0 would reach math.log(p) in the bound
     with pytest.raises(InvalidDimensionError, match="1 <= p"):
-        bounds.TheoremBoundInputs(d=1e6, p=0, t=1.0, tau=0.5, constants=CONS)
+        bounds.theorem_bound(d=1e6, p=0, t=1.0, tau=0.5, constants=CONS)
+    # the checks run in a fixed order: part, p, tau, kappa, t
+    with pytest.raises(InvalidDimensionError, match="1 <= p"):
+        bounds.theorem_bound(d=10, p=12, t=-1.0, tau=1.5, constants=CONS, kappa=-1.0)
 
 
 def test_scan_constant_p_decreases_to_zero():
@@ -133,22 +129,21 @@ def test_scan_matches_theorem_bound():
     ds = [1e4, 1e8]
     rows = bounds.asymptotic_scan(CONS, 3, [math.log(d) for d in ds], tau=0.4, part="A")
     for d, r in zip(ds, rows):
-        assert r == bounds.theorem_bound(bounds.TheoremBoundInputs(
-            d=d, p=3, t=1.0, tau=0.4, constants=CONS, part="A"))
+        assert r == bounds.theorem_bound(d=d, p=3, t=1.0, tau=0.4, constants=CONS, part="A")
     assert not bounds.bounds_decrease(rows[::-1])
 
 
 def test_scan_grid_validation():
     with pytest.raises(InvalidDimensionError):
-        bounds.asymptotic_scan(CONS, 1, [1e4], part="A")
+        bounds.asymptotic_scan(CONS, 1, [1e4], tau=0.5, part="A")
     with pytest.raises(InvalidDimensionError):
-        bounds.asymptotic_scan(CONS, 1, [1e4, 1e3], part="A")
+        bounds.asymptotic_scan(CONS, 1, [1e4, 1e3], tau=0.5, part="A")
     with pytest.raises(InvalidDimensionError, match="part must be"):
-        bounds.asymptotic_scan(CONS, 1, [1e3, 1e4], part="C")
+        bounds.asymptotic_scan(CONS, 1, [1e3, 1e4], tau=0.5, part="C")
     with pytest.raises(InvalidDimensionError, match="p=0"):
-        bounds.asymptotic_scan(CONS, 0, [1e3, 1e4], part="A")
+        bounds.asymptotic_scan(CONS, 0, [1e3, 1e4], tau=0.5, part="A")
     with pytest.raises(InvalidDimensionError, match="p=50"):
-        bounds.asymptotic_scan(CONS, 50, [math.log(50), 1e4], part="A")
+        bounds.asymptotic_scan(CONS, 50, [math.log(50), 1e4], tau=0.5, part="A")
 
 
 @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.2, math.nan])

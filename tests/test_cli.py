@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcond import acceptance, linalg
+from projcond import acceptance, cli, linalg
 from projcond.cli import build_parser, main
 from projcond.experiments import (
     CSV_HEADER,
@@ -372,6 +372,45 @@ def test_failed_report_write_is_not_a_config_error(tmp_path):
     (tmp_path / "r.csv").mkdir()
     with pytest.raises(IsADirectoryError):
         main(["run", cfg, "--out", str(tmp_path / "r")])
+
+
+def test_out_in_a_missing_directory_is_refused_before_anything_runs(tmp_path, capsys,
+                                                                    monkeypatch):
+    # every experiment ran, then the report write exited 2 with
+    # "[Errno 2] No such file or directory", naming no field
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append("run"))
+    monkeypatch.setattr(acceptance, "run_smoke", lambda *a: calls.append("smoke"))
+    monkeypatch.setattr(acceptance, "run_criterion", lambda *a: calls.append("criterion"))
+    cfg = _write(tmp_path, "c.json", {
+        "experiment": "theorem-bound", "part": "A", "d": 100, "p": 1, "t": 1, "tau": 0.5,
+    })
+    out = str(tmp_path / "missing" / "r")
+    for argv in (["run", cfg, "--out", out], ["verify", "--profile", "smoke", "--out", out],
+                 ["verify", "--profile", "full", "--out", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "'out'" in err
+    assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_run_reads_every_experiment_before_the_first_runs(tmp_path, capsys, monkeypatch):
+    # a misspelt field in the second experiment stopped the run only after
+    # the first had run
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0]["experiment"])
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    cfg = _write(tmp_path, "c.json", {"experiments": [
+        {"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5},
+        {"experiment": "theorem-bound", "d": 100, "p": 1, "tau": 0.5, "kapa": 2},
+    ]})
+    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "'kapa'" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "r.csv").exists()
 
 
 def test_mutated_eta_is_caught(monkeypatch):

@@ -249,6 +249,8 @@ def test_capped_kernel_rows_are_nearest(rng_factory, p):
     (53, "reversed"),
     (54, "swaps"),        # disjoint 2-cycles
     (400, "random"),
+    (3 * cond._BLOCK_ROWS + 123, "cycle"),    # chunks of a cycle, with a ragged last one
+    (3 * cond._BLOCK_ROWS + 123, "random"),
 ])
 def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
     rng = rng_factory("take-rows", n)
@@ -266,14 +268,16 @@ def test_take_rows_in_place_equals_gather(rng_factory, n, kind):
 
 
 def test_take_rows_in_place_holds_one_row(rng_factory, traced_peak):
-    # the sort allocates its n placed flags and one held row: a pool-sized
-    # sort must not gather a block of rows
-    d, n = 512, 6000
+    # one n-cycle, the longest index list: the sort allocates one block of
+    # rows and, per row, at most 16 bytes for an 8-byte cycle index (with
+    # the array's growth margin) and a placed flag; the whole pool (3.2 MB
+    # here) is never gathered
+    d, n = 64, 3 * cond._BLOCK_ROWS + 123
     rng = rng_factory("take-rows-memory")
     z = rng.standard_normal((n, d)).astype(np.float32)
-    order = rng.permutation(n)
+    order = np.roll(np.arange(n), 1)
     _, peak = traced_peak(lambda: cond._take_rows_in_place(z, order))
-    assert peak <= n + 4 * d * z.itemsize + 4096
+    assert peak <= cond._BLOCK_ROWS * d * z.itemsize + 16 * n + 4096
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -485,6 +489,27 @@ def test_g_membership_refuses_nonpositive_tau1(rng_factory):
         with pytest.raises(InvalidDimensionError, match="tau1 > 0"):
             cond.g_membership(spec, B, tau=0.5, gamma=gamma, n_x=100, n_inner=1000,
                               rng=rng, tau1=tau1)
+
+
+@pytest.mark.parametrize("law, tau, gamma, match", [
+    ("uniform", 1.5, _GAMMA, "tau must lie in"),    # raised a math domain error
+    ("uniform", 0.0, _GAMMA, "tau must lie in"),    # returned member=True, delta_d = 1
+    ("uniform", -0.5, _GAMMA, "tau must lie in"),   # returned member=True, delta_d = 2
+    ("uniform", 0.5, 0.0, "gamma > 0"),             # raised ZeroDivisionError
+    ("uniform", 0.5, -1.0, "gamma > 0"),            # raised a math domain error
+    # returned member=True with M_d = NaN; a law that is drawn from never
+    # filled the ball of radius NaN
+    ("gaussian", 0.5, math.nan, "gamma > 0"),
+], ids=["tau=1.5", "tau=0", "tau=-0.5", "gamma=0", "gamma=-1", "gamma=nan"])
+def test_g_membership_refuses_bad_tau_and_gamma(rng_factory, law, tau, gamma, match):
+    # refused before anything is drawn
+    rng = rng_factory("gmem-tau-gamma")
+    spec = dist.gaussian(64) if law == "gaussian" else dist.iid_marginal(law, 64)
+    B = linalg.haar_stiefel(64, 1, rng)
+    replay = copy.deepcopy(rng)
+    with pytest.raises(InvalidDimensionError, match=match):
+        cond.g_membership(spec, B, tau=tau, gamma=gamma, n_x=100, n_inner=1000, rng=rng)
+    assert np.array_equal(rng.random(4), replay.random(4))
 
 
 def test_balanced_tuning_balances():

@@ -6,8 +6,10 @@ frame operations are run here at a reduced size."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,16 +18,41 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def test_every_traced_layer_resolves_on_the_package():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_layer_resolves_on_the_package():
+    spans = _spans()
     targets = [t for group in spans.LAYERS.values() for t in group]
     assert targets
     for target in targets:
         module, attr = target.split(".")
         owner = importlib.import_module(f"projcond.{module}")
         assert callable(getattr(owner, attr, None)), target
+
+
+def test_every_counter_reads_parameters_of_the_functions_it_counts():
+    # a counter's amount reads the bound arguments of each call by parameter
+    # name; a renamed parameter would stop a traced round with a KeyError
+    spans = _spans()
+    assert spans.COUNTERS
+    for name, (_, amount) in spans.COUNTERS.items():
+        read = set()
+
+        class Arguments(dict):
+            def __missing__(self, key):
+                read.add(key)
+                return mock.MagicMock()
+
+        amount(Arguments())
+        for target in spans.LAYERS[name]:
+            module, attr = target.split(".")
+            fn = getattr(importlib.import_module(f"projcond.{module}"), attr)
+            assert read <= set(inspect.signature(fn).parameters), (name, target, read)
 
 
 @pytest.mark.parametrize("p", [1, 2])
