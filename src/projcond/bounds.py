@@ -33,12 +33,18 @@ _Part = namedtuple("_Part", "scale gamma_offset gamma_slope tau2_factor nu_weigh
 _PARTS = {PART_A: _Part(3, 6.0, 2.0, 2.0, 1.0), PART_B: _Part(5, 10.0, 4.0, 4.0, 2.0)}
 
 
-def _part(tau: float, part: str, p: int = 1, d: float = math.inf) -> _Part:
-    """The constants of a part; refuses, in this order, a part other than A
-    or B, p outside [1, d) and tau outside (0, 1)."""
+def _row(part: str) -> _Part:
+    """The constants of part A or B; refuses any other part."""
     row = _PARTS.get(part)
     if row is None:
         raise InvalidDimensionError("part must be 'A' or 'B'")
+    return row
+
+
+def _part(tau: float, part: str, p: int = 1, d: float = math.inf) -> _Part:
+    """The constants of a part; refuses, in this order, a part other than A
+    or B, p outside [1, d) and tau outside (0, 1)."""
+    row = _row(part)
     if not 1 <= p < d:
         raise InvalidDimensionError("need 1 <= p < d")
     if not 0.0 < tau < 1.0:
@@ -48,7 +54,7 @@ def _part(tau: float, part: str, p: int = 1, d: float = math.inf) -> _Part:
 
 def xi_effective(xi: float, epsilon: float, part: str) -> float:
     """min{xi, eps/2 + 1/4, 1/2} divided by 3 (part A) or 5 (part B)."""
-    return min(xi, epsilon / 2.0 + 0.25, 0.5) / _PARTS[part].scale
+    return min(xi, epsilon / 2.0 + 0.25, 0.5) / _row(part).scale
 
 
 def gamma_constant(g: float, D: float, part: str) -> float:
@@ -56,7 +62,7 @@ def gamma_constant(g: float, D: float, part: str) -> float:
     max{g, 10 + 4 log(2 D sqrt(pi e))} for part B."""
     if not D > 0.0:
         raise InvalidDimensionError("need D > 0")
-    row = _PARTS[part]
+    row = _row(part)
     return max(g, row.gamma_offset + row.gamma_slope * (LOG_2_SQRT_PI_E + math.log(D)))
 
 

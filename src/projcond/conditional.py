@@ -19,8 +19,10 @@ engine for every other law.  Two inner engines are provided.
 
 * ``kernel``: forward sampling plus kernel regression on the projected
   coordinate.  Draws a pool Z_i ~ f, weighs by a Gaussian kernel in
-  B'Z_i - x, and reports Nadaraya-Watson moments.  Dimension enters only
-  through the averaging, so this engine scales to d in the hundreds.
+  B'Z_i - x, and reports Nadaraya-Watson moments: one read of the window
+  at x (``_window_moments``) gives the mean deviation, h and the
+  second-moment deviation.  Dimension enters only through the averaging,
+  so this engine scales to d in the hundreds.
 """
 
 from __future__ import annotations
@@ -294,45 +296,47 @@ def _nearest(rows: slice, w: np.ndarray, cap: int):
     return rows.start + idx, w[idx]
 
 
-def _window_blocks(z: np.ndarray, rows: np.ndarray, scale: np.ndarray):
-    """The rows z[rows], each times its scale, in blocks of at most
-    _BLOCK_ROWS rows written into one reused float32 buffer, so no copy of
-    the whole window is ever made.  Each block is overwritten by the next.
-    """
-    m = rows.shape[0]
-    buf = np.empty((min(m, _BLOCK_ROWS), z.shape[1]), dtype=np.float32)
-    for a in range(0, m, _BLOCK_ROWS):
-        part = slice(a, min(a + _BLOCK_ROWS, m))
-        block = buf[: part.stop - a]
-        # the indices lie in range; mode "raise" would copy out through a
-        # buffer
-        np.take(z, rows[part], axis=0, out=block, mode="clip")
-        block *= scale[part, None]
-        yield block
+def _window_moments(pool: ForwardPool, x, second: bool = False):
+    """One read of the kernel window at x: (dev, h, delta).
 
-
-def kernel_mu_deviation(pool: ForwardPool, x):
-    """The smoothed conditional-mean deviation at x and the projected
-    density ratio h, from one kernel window.
-
-    Returns (||mu_hat - B proj_mean||, f_hat(x) / phi_p(x)): mu_hat is the
-    weighted mean of the pool and proj_mean the weighted mean of its
-    projections.  Comparing the smoothed conditional mean against the
-    equally smoothed projection (rather than the point value Bx) cancels
-    the first-order kernel bias, which otherwise dominates in the
-    projection tails.
+    dev = ||mu_hat - B proj_mean|| and h = f_hat(x) / phi_p(x), where mu_hat
+    and proj_mean are the weighted means of the pool and its projections.
+    delta, made only when second is set (else None), is
+    Ehat_w[ZZ'] - I - B(Ehat_w[(B'Z)(B'Z)'] - I_p)B'.  Comparing against the
+    equally smoothed projection, rather than Bx and I + B(xx' - I)B', cancels
+    the first-order kernel bias, which otherwise dominates in the projection
+    tails.  delta reads at most the _GRAM_CAP highest-weight rows (a locally
+    narrowed bandwidth), gathered _BLOCK_ROWS at a time into one reused
+    float32 buffer, scaled by the root weights and added as a float32 SYRK
+    to a float64 sum, so no copy of the whole window is made.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows, w = _window(pool, x)
-    sw = float(np.sum(w))
-    if sw <= 0.0 or np.count_nonzero(w) < 2:
+    if np.count_nonzero(w) < 2:
         raise DegenerateDensityError(f"no pool mass near x = {x}")
+    sw = float(np.sum(w))
     mu = (w.astype(np.float32) @ pool.z[rows]).astype(np.float64) / sw
     proj_mean = (w @ pool.proj[rows]) / sw
-    p = pool.p
+    p, d, b = pool.p, pool.d, pool.b
     f_hat = sw / (pool.n * (2 * math.pi) ** (p / 2) * _bandwidth_at(pool, x) ** p)
     log_phi = -0.5 * float(x @ x) - 0.5 * p * math.log(2 * math.pi)
-    return float(np.linalg.norm(mu - pool.b @ proj_mean)), f_hat / math.exp(log_phi)
+    dev, h = float(np.linalg.norm(mu - b @ proj_mean)), f_hat / math.exp(log_phi)
+    if not second:
+        return dev, h, None
+    near, w = _nearest(rows, w, _GRAM_CAP)
+    sw = float(np.sum(w))
+    proj_l = pool.proj[near]
+    shift = np.einsum("n,ni,nj->ij", w, proj_l, proj_l) / sw - np.eye(p)
+    root, m = np.sqrt(w, dtype=np.float32), near.shape[0]
+    buf = np.empty((min(m, _BLOCK_ROWS), d), dtype=np.float32)
+    gram = np.zeros((d, d))
+    for a in range(0, m, _BLOCK_ROWS):
+        block = buf[: min(_BLOCK_ROWS, m - a)]
+        # the indices lie in range; mode "raise" would copy through a buffer
+        np.take(pool.z, near[a: a + block.shape[0]], axis=0, out=block, mode="clip")
+        block *= root[a: a + block.shape[0], None]
+        gram += block.T @ block
+    return dev, h, gram / sw - np.eye(d) - b @ shift @ b.T
 
 
 def eigsh(a, **kwargs):
@@ -341,47 +345,35 @@ def eigsh(a, **kwargs):
     SciPy's import costs about 0.3 s, so loading it at module level would
     more than double the start-up of every ``projcond run``, most of which
     never solve an eigenproblem.  It stays a module attribute so that every
-    eigen-solve of ``kernel_delta_norm`` goes through this one name.
+    eigen-solve of the kernel engine (``_op_norm``) goes through this one
+    name.
     """
     from scipy.sparse.linalg import eigsh as scipy_eigsh
 
     return scipy_eigsh(a, **kwargs)
 
 
-def kernel_delta_norm(pool: ForwardPool, x):
-    """Operator norm of the smoothed conditional second-moment deviation.
-
-    Compares Ehat_w[ZZ'] against I + B(Ehat_w[(B'Z)(B'Z)'] - I_p)B', i.e.
-    the projection block of the target is smoothed with the same weights,
-    cancelling the first-order kernel bias.  When more than _GRAM_CAP pool
-    points fall inside the kernel window, only the _GRAM_CAP highest-weight
-    points are kept (a locally narrowed bandwidth).  The weighted second
-    moment is then summed over blocks of _BLOCK_ROWS rows, each scaled by
-    the root weights into one reused float32 buffer and added as a float32
-    SYRK to a float64 sum.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows, w = _nearest(*_window(pool, x), _GRAM_CAP)
-    if w.shape[0] < 2:
-        raise DegenerateDensityError(f"no pool mass near x = {x}")
-    sw = float(np.sum(w))
-    b = pool.b
-    d = pool.d
-    proj_l = pool.proj[rows]
-    proj_second = np.einsum("n,ni,nj->ij", w, proj_l, proj_l) / sw
-    shift = proj_second - np.eye(pool.p)
-    gram = np.zeros((d, d))
-    for block in _window_blocks(pool.z, rows, np.sqrt(w, dtype=np.float32)):
-        gram += block.T @ block
-    delta = gram / sw - np.eye(d) - b @ shift @ b.T
-    # one eigen path at every d: eigsh with a fixed start vector, which
-    # keeps the result reproducible for a fixed pool and x; it is drawn at
-    # random once, since a structured one (such as all ones) can be
-    # orthogonal to the top eigenvector
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, d)
+def _op_norm(delta: np.ndarray) -> float:
+    """The operator norm of a symmetric delta, by one eigen path at every d:
+    eigsh with a fixed start vector, which keeps the result reproducible for
+    a fixed pool and x.  The vector is drawn at random once, since a
+    structured one (such as all ones) can be orthogonal to the top
+    eigenvector."""
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, delta.shape[0])
     vals = eigsh(delta, k=1, which="LM", tol=1e-4, return_eigenvectors=False,
                  maxiter=500, v0=v0)
     return float(np.abs(vals[0]))
+
+
+def kernel_mu_deviation(pool: ForwardPool, x):
+    """(dev, h) of _window_moments: the smoothed conditional-mean deviation
+    at x and the projected density ratio."""
+    return _window_moments(pool, x)[:2]
+
+
+def kernel_delta_norm(pool: ForwardPool, x):
+    """Operator norm of _window_moments' smoothed second-moment deviation."""
+    return _op_norm(_window_moments(pool, x, True)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +404,9 @@ def deviation_probability(
 ) -> DeviationProbability:
     """Outer-loop deviation frequencies for the conditional mean/variance.
 
-    Each outer draw sets x = B'Z for a fresh Z; the kernel engine estimates
-    mu and Delta at that x, and the indicator of a deviation beyond t is
-    averaged.  For the Gaussian both deviations are exactly 0 at every x,
+    Each outer draw sets x = B'Z for a fresh Z; one read of the kernel
+    window at that x estimates mu and Delta, and the indicator of a
+    deviation beyond t is averaged.  For the Gaussian both deviations are exactly 0 at every x,
     so the frequencies are 1 for t < 0 and 0 otherwise, with nothing drawn.
 
     The outer points run through _at_outer_points, as g_membership's x's
@@ -435,8 +427,11 @@ def deviation_probability(
     # on its import nor miss its OpenBLAS in the thread-count lookup
     import scipy.sparse.linalg  # noqa: F401
 
-    hits = _at_outer_points(lambda x: (kernel_mu_deviation(pool, x)[0] > t,
-                                       kernel_delta_norm(pool, x) > t), xs)
+    def exceeds(x):
+        dev, _, delta = _window_moments(pool, x, True)
+        return dev > t, _op_norm(delta) > t
+
+    hits = _at_outer_points(exceeds, xs)
     mean_hits, var_hits = (int(c) for c in np.count_nonzero(hits, axis=0))
     return DeviationProbability(mean_prob=mean_hits / n_outer, var_prob=var_hits / n_outer)
 

@@ -75,7 +75,7 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR factorization with the diagonal of R forced positive.
 
     The sign normalization makes the factorization (and hence Haar sampling
-    and Gram-Schmidt) a deterministic function of the input bits.
+    and Lambda_k) a deterministic function of the input bits.
     """
     q, r = np.linalg.qr(a)
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -159,21 +159,14 @@ def stiefel_from_constraints(vectors, x) -> StiefelMatrix:
     return StiefelMatrix(d=d, p=p, entries=b)
 
 
-def _mgs_against(basis: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """One modified Gram-Schmidt sweep of v against an orthonormal list."""
-    u = v.copy()
-    for b in basis:
-        u -= (b @ u) * b
-    return u
-
-
 def frame_lambda(B, x, vectors) -> np.ndarray:
     """The lower-triangular k x k Lambda_k of B, x, and vectors with B'w_j = x.
 
-    beta_j is the Gram-Schmidt of w_j against [B, beta_1..beta_{j-1}] and
-    c_j that of w_j against c_1..c_{j-1}; Lambda_k = (c_i'beta_j), so its
-    first j rows depend only on w_1..w_j, and
-    det(Lambda_k Lambda_k') = 1 - ||x||^2 iota'(N'N)^{-1} iota.
+    beta_j is w_j orthonormalized against [B, w_1..w_{j-1}], the last k
+    columns of the Q of [B, W'], and c_j is w_j orthonormalized against
+    w_1..w_{j-1}, the Q of W', both with positive diagonals.  Lambda_k =
+    (c_i'beta_j) for j <= i, so its first j rows depend only on w_1..w_j,
+    and det(Lambda_k Lambda_k') = 1 - ||x||^2 iota'(N'N)^{-1} iota.
     """
     B = as_stiefel(B)
     d, p = B.d, B.p
@@ -188,29 +181,13 @@ def frame_lambda(B, x, vectors) -> np.ndarray:
     proj_err = np.max(np.abs(w @ bmat - x[None, :]))
     if proj_err > FRAME_TOL:
         raise ConstraintViolatedError(f"B'w_j != x, max error {proj_err:.3e}")
-    sv = np.linalg.svd(np.concatenate([bmat, w.T], axis=1), compute_uv=False)
+    b_w = np.concatenate([bmat, w.T], axis=1)
+    sv = np.linalg.svd(b_w, compute_uv=False)
     if sv[-1] < SINGULAR_RATIO * sv[0]:
         raise RankDeficientError("columns of B and the w_j are numerically dependent")
-
-    betas: list[np.ndarray] = []
-    cs: list[np.ndarray] = []
-    b_cols = [bmat[:, j] for j in range(p)]
-    for j in range(k):
-        u = _mgs_against(b_cols + betas, w[j])
-        u = _mgs_against(b_cols + betas, u)  # second sweep for stability
-        nu = np.linalg.norm(u)
-        if nu < SINGULAR_RATIO * max(1.0, np.linalg.norm(w[j])):
-            raise RankDeficientError(f"vector {j + 1} lies in the span of B and its predecessors")
-        betas.append(u / nu)
-        v = _mgs_against(cs, w[j])
-        v = _mgs_against(cs, v)
-        cs.append(v / np.linalg.norm(v))
-
-    lam = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1):
-            lam[i, j] = cs[i] @ betas[j]
-    return lam
+    betas = _qr_positive(b_w)[0][:, p:]
+    cs = _qr_positive(w.T)[0]
+    return np.tril(cs.T @ betas)
 
 
 def triangular_statistics(

@@ -163,3 +163,14 @@ def test_gamma_constant_parts():
     for D in (0.0, -2.0):
         with pytest.raises(InvalidDimensionError, match="D > 0"):
             bounds.gamma_constant(1.0, D, "A")
+
+
+@pytest.mark.parametrize("bound", [
+    lambda part: bounds.xi_effective(0.4, 0.3, part),
+    lambda part: bounds.gamma_constant(1.0, 1.0, part),
+], ids=["xi_effective", "gamma_constant"])
+@pytest.mark.parametrize("part", ["C", "a", None])
+def test_part_constants_refuse_an_unknown_part(bound, part):
+    # the part table was indexed directly, which raised a bare KeyError
+    with pytest.raises(InvalidDimensionError, match=r"^part must be 'A' or 'B'$"):
+        bound(part)

@@ -525,24 +525,41 @@ def test_balanced_tuning_balances():
 
 def test_every_eigen_solve_goes_through_the_module_eigsh(monkeypatch, rng_factory):
     # perfbench times the eigen-solve by wrapping conditional.eigsh; a
-    # kernel_delta_norm that bound the solver under another name would
-    # leave that layer at zero
+    # kernel engine that bound the solver under another name would leave
+    # that layer at zero.  deviation_probability reads one window and makes
+    # one eigen-solve per outer point
     rng = rng_factory("eigsh-attribute")
-    d = 16
-    pool = cond.build_pool(dist.iid_marginal("uniform", d), linalg.haar_stiefel(d, 1, rng),
-                           4000, rng)
-    x = np.array([0.3])
-    expected = cond.kernel_delta_norm(pool, x)
-    calls = []
-    solve = cond.eigsh
+    windows, solves = [], []
+    window, solve = cond._window, cond.eigsh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_window(*args):
+        windows.append(1)
+        return window(*args)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cond, "eigsh", counting)
-    assert cond.kernel_delta_norm(pool, x) == expected
-    assert len(calls) == 1
+    def delta_norm(spec, B, rng):
+        pool = cond.build_pool(spec, B, 4000, rng)
+        return cond.kernel_delta_norm(pool, np.array([0.3]))
+
+    def probability(spec, B, rng):
+        res = cond.deviation_probability(spec, B, t=0.2, n_outer=100, n_inner=4000, rng=rng)
+        return res.mean_prob, res.var_prob
+
+    for run, p, points in ((delta_norm, 1, 1), (probability, 1, 100), (probability, 2, 100)):
+        d = 16
+        spec = dist.iid_marginal("uniform", d)
+        B = linalg.haar_stiefel(d, p, rng)
+        expected = run(spec, B, copy.deepcopy(rng))
+        windows.clear()
+        solves.clear()
+        with monkeypatch.context() as counted:
+            counted.setattr(cond, "_window", counting_window)
+            counted.setattr(cond, "eigsh", counting_solve)
+            assert run(spec, B, copy.deepcopy(rng)) == expected
+        assert (len(windows), len(solves)) == (points, points), (run.__name__, p)
 
 
 def _serial_values(spec, B, n_outer, n_inner, rng, bandwidth=None):
@@ -604,7 +621,7 @@ def test_parallel_outer_loop_equals_serial_loop(rng_factory, monkeypatch, p, d):
     _, mu, delta = _serial_values(spec, B, 100, 6000, copy.deepcopy(rng))
     monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     parallel = bool(cond._blas_thread_controls())
-    calls = _record_calls(monkeypatch, "kernel_delta_norm", workers=3 if parallel else 0)
+    calls = _record_calls(monkeypatch, "_window_moments", workers=3 if parallel else 0)
     start = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -631,7 +648,7 @@ def test_outer_loop_without_blas_control_runs_on_the_calling_thread(rng_factory,
     B = linalg.haar_stiefel(d, p, rng)
     _, mu, delta = _serial_values(spec, B, 100, 6000, copy.deepcopy(rng))
     monkeypatch.setattr(cond, "_blas_thread_controls", lambda: [])
-    calls = _record_calls(monkeypatch, "kernel_delta_norm")
+    calls = _record_calls(monkeypatch, "_window_moments")
     for t in _thresholds(mu, delta):
         res = cond.deviation_probability(spec, B, t=t, n_outer=100, n_inner=6000,
                                          rng=copy.deepcopy(rng))
@@ -672,15 +689,15 @@ def test_outer_loop_restores_blas_and_thread_counts(rng_factory, monkeypatch):
         # an interrupt in the first point, on whichever thread runs it,
         # cancels the points not yet started and propagates
         xs = dist.sample_z(spec, 100, copy.deepcopy(rng)) @ B.entries
-        calls, mu_deviation = [], cond.kernel_mu_deviation
+        calls, moments = [], cond._window_moments
 
-        def interrupted(pool, x):
+        def interrupted(pool, x, *second):
             calls.append(1)
             if np.array_equal(x, xs[0]):
                 raise _Interrupt
-            return mu_deviation(pool, x)
+            return moments(pool, x, *second)
 
-        monkeypatch.setattr(cond, "kernel_mu_deviation", interrupted)
+        monkeypatch.setattr(cond, "_window_moments", interrupted)
         with pytest.raises(_Interrupt):
             cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng)
         assert [get_fn() for _, get_fn in controls] == two
@@ -704,15 +721,15 @@ def test_outer_loop_raises_the_first_failing_x(rng_factory, monkeypatch, serial)
     monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     if serial:
         monkeypatch.setattr(cond, "_blas_thread_controls", lambda: [])
-    mu_deviation = cond.kernel_mu_deviation
+    moments = cond._window_moments
 
-    def failing(pool, x):
+    def failing(pool, x, *second):
         for j in (5, 7):
             if np.array_equal(x, xs[j]):
                 raise DegenerateDensityError(f"x {j}")
-        return mu_deviation(pool, x)
+        return moments(pool, x, *second)
 
-    monkeypatch.setattr(cond, "kernel_mu_deviation", failing)
+    monkeypatch.setattr(cond, "_window_moments", failing)
     start = threading.active_count()
     with pytest.raises(DegenerateDensityError, match="^x 5$"):
         cond.deviation_probability(spec, B, t=0.5, n_outer=100, n_inner=2000, rng=rng)
@@ -727,14 +744,14 @@ def test_outer_loop_raises_a_workers_base_exception(rng_factory, monkeypatch):
     B = linalg.haar_stiefel(16, 1, rng)
     xs = dist.sample_z(spec, 100, copy.deepcopy(rng)) @ B.entries
     monkeypatch.setattr(cond.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    mu_deviation = cond.kernel_mu_deviation
+    moments = cond._window_moments
 
-    def interrupted(pool, x):
+    def interrupted(pool, x, *second):
         if np.array_equal(x, xs[1]):
             raise _Interrupt
-        return mu_deviation(pool, x)
+        return moments(pool, x, *second)
 
-    monkeypatch.setattr(cond, "kernel_mu_deviation", interrupted)
+    monkeypatch.setattr(cond, "_window_moments", interrupted)
     start = threading.active_count()
     # every deviation exceeds t = -1, so a call that returns reads 1.0
     with pytest.raises(_Interrupt):
